@@ -2,15 +2,20 @@
 
    The paper has no numeric tables or figures (it is a pure theory paper),
    so the "evaluation" this harness regenerates is the experiment index of
-   DESIGN.md / EXPERIMENTS.md: one section per paper claim (E1-E13),
-   printing the same verification rows every run, followed by Bechamel
-   microbenchmarks of every computational component - including the two
-   ablation comparisons called out in DESIGN.md (dedicated QE procedures
-   vs the Cooper baseline; enumeration evaluation vs compiled algebra).
+   DESIGN.md / EXPERIMENTS.md: one section per paper claim (E1-E15),
+   printing the same verification rows every run, followed by the S1-S4
+   parameter sweeps and microbenchmarks of every computational component.
+   The acceptance gates of the engine, governor, telemetry, supervision,
+   columnar, snapshot, journal, tracing and fleet layers run in their own
+   mode, each at the workload size and bound it was accepted with.  All
+   timing goes through one estimator, [Paired].
 
-   Run with: dune exec bench/main.exe            (experiments + benches)
-             dune exec bench/main.exe -- quick   (experiments only)
-             dune exec bench/main.exe -- json    (PR ablations, JSON to stdout) *)
+   Run with: dune exec bench/main.exe              (experiments, sweeps, micro)
+             dune exec bench/main.exe -- quick     (experiments only; exit 1 on
+                                                    a mismatch; part of runtest)
+             dune exec bench/main.exe -- gates     (timing gates; exit 1 if one
+                                                    fails; dune build @bench)
+             dune exec bench/main.exe -- smoke-pr6 (downsized columnar CI gate) *)
 
 open Finite_queries
 
@@ -21,7 +26,10 @@ let vi = Value.int
 let section title = Format.printf "@.== %s ==@." title
 let row fmt = Format.printf ("  " ^^ fmt ^^ "@.")
 
+let mismatches = ref []
+
 let check label expected actual =
+  if expected <> actual then mismatches := label :: !mismatches;
   row "%-58s expected=%-9s observed=%-9s %s" label expected actual
     (if expected = actual then "OK" else "** MISMATCH **")
 
@@ -350,12 +358,8 @@ let experiments () =
 (* Parameter sweeps - the "figures"                                    *)
 (* ------------------------------------------------------------------ *)
 
-let time_us ~reps f =
-  let t0 = Sys.time () in
-  for _ = 1 to reps do
-    ignore (f ())
-  done;
-  (Sys.time () -. t0) *. 1e6 /. float_of_int reps
+let repeat = Paired.repeat
+let one_arm_us ~rounds f = (Paired.run ~rounds [| repeat f |]).Paired.us.(0)
 
 let chain_state n =
   (* a path graph: F = { (p_i, p_{i+1}) } *)
@@ -374,9 +378,8 @@ let sweep_evaluators () =
       in
       let adom () = Algebra_translate.run ~domain:eq_domain ~state:st g_query in
       let ranf () = Ranf.run ~domain:eq_domain ~state:st g_query in
-      let reps = max 1 (16 / n) in
-      row "%6d %14.0f %14.0f %14.0f" n (time_us ~reps enum) (time_us ~reps adom)
-        (time_us ~reps ranf))
+      let us = (Paired.run ~rounds:3 [| repeat enum; repeat adom; repeat ranf |]).Paired.us in
+      row "%6d %14.0f %14.0f %14.0f" n us.(0) us.(1) us.(2))
     [ 2; 4; 8 ]
 
 let sweep_cooper () =
@@ -405,7 +408,7 @@ let sweep_cooper () =
       let atoms =
         match Cooper.qe sentence with Ok qf -> Cooper.atom_count qf | Error _ -> -1
       in
-      row "%6d %14.0f %10d" q (time_us ~reps:3 (fun () -> Cooper.decide sentence)) atoms)
+      row "%6d %14.0f %10d" q (one_arm_us ~rounds:3 (fun () -> Cooper.decide sentence)) atoms)
     [ 1; 2; 3; 4 ]
 
 let sweep_tm () =
@@ -420,7 +423,7 @@ let sweep_tm () =
         | Run.Out_of_fuel -> -1
       in
       row "%6d %14.1f %8d" n
-        (time_us ~reps:50 (fun () -> Run.run ~fuel:(n + 10) Zoo.scan_right input))
+        (one_arm_us ~rounds:3 (fun () -> Run.run ~fuel:(n + 10) Zoo.scan_right input))
         steps)
     [ 16; 64; 256; 1024 ]
 
@@ -441,7 +444,7 @@ let sweep_reach () =
                      Reach.Not (Reach.Atom (Reach.Eq (Base (Var "p"), Base (Const t)))))
                    excluded) )
       in
-      row "%6d %14.0f" k (time_us ~reps:5 (fun () -> Reach_qe.decide sentence)))
+      row "%6d %14.0f" k (one_arm_us ~rounds:3 (fun () -> Reach_qe.decide sentence)))
     [ 0; 2; 4; 6; 8 ]
 
 let sweeps () =
@@ -451,7 +454,7 @@ let sweeps () =
   sweep_reach ()
 
 (* ------------------------------------------------------------------ *)
-(* PR 1 ablations: hash-join engine and the decision cache             *)
+(* Gate fixtures                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Three binary relations chained on their middle columns:
@@ -473,301 +476,42 @@ let naive_join_plan =
       ( Eq (Col 3, Col 4),
         Product (Select (Eq (Col 1, Col 2), Product (Rel "R", Rel "S")), Rel "T") ))
 
-let join_ablation ~n =
-  let st = join_state n in
-  let optimized = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
-  let naive_res = Relalg.eval ~state:st naive_join_plan in
-  let opt_res = Relalg.eval ~state:st optimized in
-  let agree = Relation.equal naive_res opt_res in
-  let naive_us = time_us ~reps:2 (fun () -> Relalg.eval ~state:st naive_join_plan) in
-  let opt_us = time_us ~reps:20 (fun () -> Relalg.eval ~state:st optimized) in
-  let joins_in plan =
-    let rec go = function
-      | Relalg.Rel _ | Relalg.Lit _ -> 0
-      | Relalg.Select (_, p) | Relalg.Project (_, p) -> go p
-      | Relalg.Join (_, p, q) -> 1 + go p + go q
-      | Relalg.Product (p, q) | Relalg.Union (p, q) | Relalg.Diff (p, q) -> go p + go q
-    in
-    go plan
-  in
-  ( `Assoc
-      [ ("tuples_per_relation", `Int n);
-        ("rows_out", `Int (Relation.cardinal opt_res));
-        ("agree", `Bool agree);
-        ("hash_joins_in_optimized_plan", `Int (joins_in optimized));
-        ("naive_us", `Float naive_us);
-        ("hashjoin_us", `Float opt_us);
-        ("speedup", `Float (naive_us /. opt_us)) ],
-    agree,
-    naive_us,
-    opt_us )
-
-let cache_ablation ~n =
-  (* G(x,z) on a path of n edges has n-1 answer tuples; the enumeration
-     re-decides the candidate sentence for every active-domain value and
-     the bench re-runs the whole evaluation, so a shared cache converts
-     repeat decides into hash lookups. *)
-  let st = chain_state n in
-  let run ?cache () =
-    Enumerate.run ~fuel:200_000 ~max_certified:(2 * n) ?cache ~domain:eq_domain ~state:st
-      g_query
-  in
-  let answers =
-    match run () with
-    | Ok (Enumerate.Finite r) -> Relation.cardinal r
-    | _ -> -1
-  in
-  let uncached_us = time_us ~reps:3 (fun () -> run ()) in
-  let cache = Decide_cache.create () in
-  let cold_t0 = Sys.time () in
-  ignore (run ~cache ());
-  let cold_us = (Sys.time () -. cold_t0) *. 1e6 in
-  let warm_us = time_us ~reps:3 (fun () -> run ~cache ()) in
-  let stats = Decide_cache.stats cache in
-  ( `Assoc
-      [ ("path_edges", `Int n);
-        ("answer_tuples", `Int answers);
-        ("uncached_us", `Float uncached_us);
-        ("cached_cold_us", `Float cold_us);
-        ("cached_warm_us", `Float warm_us);
-        ("speedup_warm", `Float (uncached_us /. warm_us));
-        ("cache_hits", `Int stats.Decide_cache.hits);
-        ("cache_misses", `Int stats.Decide_cache.misses);
-        ("cache_entries", `Int stats.Decide_cache.entries) ],
-    answers,
-    uncached_us,
-    warm_us )
-
-(* ------------------------------------------------------------------ *)
-(* PR 3 ablation: resource-governor overhead on safe hot paths         *)
-(* ------------------------------------------------------------------ *)
-
-(* The governed and plain variants do identical work on these completing
-   workloads, so the minimum over individual repetitions is the fair
-   estimate of each one's cost: any rep the scheduler or a major GC
-   interrupts is discarded, where a mean over a timing window would keep
-   the interruption in the estimate. [Sys.time]'s ~10ms granularity is
-   far too coarse for sub-millisecond reps, hence the wall clock. *)
-let min_rep_us ~reps f =
-  let m = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    let dt = (Unix.gettimeofday () -. t0) *. 1e6 in
-    if dt < !m then m := dt
-  done;
-  !m
-
-(* The two variants are timed in alternation, each window preceded by a
-   major collection — otherwise whichever variant runs second pays for the
-   garbage the first one left behind, and the "overhead" is really GC
-   scheduling noise (observed at 20%+ when the ablation runs after the
-   allocation-heavy experiment rows). *)
-let best_pair ~runs ~reps fa fb =
-  let ma = ref infinity and mb = ref infinity in
-  for _ = 1 to runs do
-    Gc.major ();
-    ma := Float.min !ma (min_rep_us ~reps fa);
-    Gc.major ();
-    mb := Float.min !mb (min_rep_us ~reps fb)
-  done;
-  (!ma, !mb)
-
 (* A governed run carries every dimension the CLI would install: generous
    fuel plus a far-away deadline (the deadline forces the periodic wall
    clock poll, the part of the governor that costs anything). *)
 let full_budget () = Budget.make ~fuel:1_000_000_000 ~timeout_ms:600_000 ()
 
-let governor_ablation () =
-  (* 1. the PR 1 chain join through the algebra engine *)
-  let n = 1000 in
-  let st = join_state n in
-  let plan = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
-  let join_plain, join_gov =
-    best_pair ~runs:9 ~reps:40
-      (fun () -> Relalg.eval ~state:st plan)
-      (fun () -> Relalg.eval ~state:st ~budget:(full_budget ()) plan)
-  in
-  (* 2. warm-cache enumeration (the PR 1 decide-cache hot path) *)
-  let stc = chain_state 12 in
-  let cache = Decide_cache.create () in
-  let enum_legacy () =
-    Enumerate.run ~fuel:200_000 ~max_certified:24 ~cache ~domain:eq_domain ~state:stc g_query
-  in
-  ignore (enum_legacy ());
-  let enum_plain, enum_gov =
-    best_pair ~runs:9 ~reps:40 enum_legacy (fun () ->
-        Enumerate.run_budgeted ~max_certified:24 ~cache ~budget:(full_budget ())
-          ~domain:eq_domain ~state:stc g_query)
-  in
-  (* 3. Cooper quantifier elimination under the ambient budget *)
-  let cooper_sentence = parse "forall x. exists y. x = 2 * y \\/ x = 2 * y + 1" in
-  let cooper_plain, cooper_gov =
-    best_pair ~runs:9 ~reps:2000
-      (fun () -> Cooper.decide cooper_sentence)
-      (fun () -> Cooper.decide ~budget:(full_budget ()) cooper_sentence)
-  in
-  let pct plain gov = 100.0 *. ((gov /. plain) -. 1.0) in
-  let entry name plain gov =
-    ( name,
-      `Assoc
-        [ ("plain_us", `Float plain);
-          ("governed_us", `Float gov);
-          ("overhead_pct", `Float (pct plain gov)) ] )
-  in
-  let worst =
-    List.fold_left Float.max neg_infinity
-      [ pct join_plain join_gov; pct enum_plain enum_gov; pct cooper_plain cooper_gov ]
-  in
-  ( `Assoc
-      [ entry "chain_join_n1000" join_plain join_gov;
-        entry "enumerate_warm_cache" enum_plain enum_gov;
-        entry "cooper_qe" cooper_plain cooper_gov ],
-    worst )
+(* The completing hot paths the governor, telemetry and supervision gates
+   share, so their overheads compose.  [run ~budget] is the governed
+   variant of the same work.  Built once: warming the enumeration's
+   decide cache takes seconds. *)
+type hot_path = { path : string; run : ?budget:Budget.t -> unit -> unit }
 
-(* ------------------------------------------------------------------ *)
-(* PR 4 ablation: telemetry overhead on the same hot paths             *)
-(* ------------------------------------------------------------------ *)
-
-(* Three variants per workload: telemetry disabled (every instrumentation
-   point is one ref read and a branch), the no-op sink (the observation
-   path runs but discards events), and a full recording.  The workloads
-   are the PR 3 governed hot paths, so the numbers compose: governor
-   overhead from A3, telemetry overhead from here. *)
-(* One sample = [chunk] back-to-back reps inside a single clock window,
-   so the ~1us [gettimeofday] quantum is amortized well below the effect
-   size under test (on the ~40us Cooper workload, single-rep timing
-   cannot distinguish a 2% effect from one timer quantum). *)
-let chunk_us ~chunk f =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to chunk do
-    ignore (f ())
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int chunk
-
-let median a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  let n = Array.length b in
-  if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.
-
-type triple = {
-  t_off : float;
-  t_noop : float;
-  t_rec : float;
-  noop_pct : float;
-  rec_pct : float;
-}
-
-(* All three variants run the same workload thunk; only the ambient
-   collector differs, and it is installed around a multi-repetition chunk
-   rather than a single repetition — the ablation measures the cost of
-   the instrumentation points in the engines, and the one-time cost of
-   building a collector (two hashtables) must stay amortized below the
-   effect size under test.  The estimator fights two independent noise
-   sources of a virtualized host:
-
-   - CPU steal: the host can take the vCPU for ~1ms inside any single
-     timing window, a 10-20%% spike on a ~5ms chunk.  Each round
-     interleaves off/noop/recording chunks back to back five times and
-     keeps each variant's MINIMUM, discarding the stolen windows.
-   - clock drift: the effective clock wanders by several percent over
-     timescales of 100ms+, which swamps a sub-2%% effect measured from
-     two aggregates taken seconds apart.  The overhead estimate is the
-     median over rounds of the PAIRED per-round ratio (noop/off within
-     one round, where the chunks ran a few ms apart), so the drift
-     cancels inside each ratio.
-
-   Earlier drafts used a global minimum per variant; that compares each
-   variant's single luckiest window across the whole run and was observed
-   to report the no-op sink "slower" than a full recording — physically
-   impossible. *)
-let best_triple ~rounds ~chunk f =
-  let offs = Array.make rounds 0. in
-  let noops = Array.make rounds 0. in
-  let recs = Array.make rounds 0. in
-  for r = 0 to rounds - 1 do
-    Gc.major ();
-    (* untimed warm-up: the first chunk after a major collection runs in a
-       golden GC state (empty minor heap, fresh major cycle) that no later
-       chunk sees; without burning it, whichever variant is timed first
-       reads 2-3%% faster than the identical thunk in the next slot *)
-    ignore (chunk_us ~chunk f);
-    let mo = ref infinity and mn = ref infinity and mr = ref infinity in
-    for _ = 1 to 5 do
-      mo := Float.min !mo (chunk_us ~chunk f);
-      mn := Float.min !mn (Telemetry.with_noop (fun () -> chunk_us ~chunk f));
-      mr := Float.min !mr (fst (Telemetry.record (fun () -> chunk_us ~chunk f)))
-    done;
-    offs.(r) <- !mo;
-    noops.(r) <- !mn;
-    recs.(r) <- !mr
-  done;
-  let ratio a = median (Array.init rounds (fun r -> a.(r) /. offs.(r))) in
-  { t_off = median offs;
-    t_noop = median noops;
-    t_rec = median recs;
-    noop_pct = 100. *. (ratio noops -. 1.);
-    rec_pct = 100. *. (ratio recs -. 1.) }
-
-let telemetry_ablation () =
-  let n = 1000 in
-  let st = join_state n in
-  let plan = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
-  let join () = Relalg.eval ~state:st plan in
-  let join_t = best_triple ~rounds:15 ~chunk:4 join in
-  let stc = chain_state 12 in
-  let cache = Decide_cache.create () in
-  let enum () =
-    Enumerate.run ~fuel:200_000 ~max_certified:24 ~cache ~domain:eq_domain ~state:stc g_query
-  in
-  ignore (enum ());
-  let enum_t = best_triple ~rounds:15 ~chunk:4 enum in
-  let cooper_sentence = parse "forall x. exists y. x = 2 * y \\/ x = 2 * y + 1" in
-  let cooper () = Cooper.decide cooper_sentence in
-  let cooper_t = best_triple ~rounds:21 ~chunk:100 cooper in
-  let entry name t =
-    ( name,
-      `Assoc
-        [ ("disabled_us", `Float t.t_off);
-          ("noop_sink_us", `Float t.t_noop);
-          ("recording_us", `Float t.t_rec);
-          ("noop_overhead_pct", `Float t.noop_pct);
-          ("recording_overhead_pct", `Float t.rec_pct) ] )
-  in
-  let worst_noop =
-    List.fold_left Float.max neg_infinity
-      [ join_t.noop_pct; enum_t.noop_pct; cooper_t.noop_pct ]
-  in
-  ( `Assoc
-      [ entry "chain_join_n1000" join_t;
-        entry "enumerate_warm_cache" enum_t;
-        entry "cooper_qe" cooper_t ],
-    worst_noop )
-
-(* PR 5 ablation: cost of the resilience machinery on completing hot
-   paths.  Three variants of the same workload chunk:
-
-   - plain: the shipped default — fault sites compiled into the engines
-     but no plan installed, so every [Fault.hit] is one domain-local
-     read; no supervisor in the stack.
-   - supervised: every repetition runs through [Supervisor.supervise]
-     (the per-job wrapper [fq batch] uses), succeeding on the first
-     attempt — measures the span + classification envelope.
-   - armed: a chaos plan with [permille = 0] is installed, so every
-     fault site takes the full schedule path (mutex, counter, hash)
-     without ever firing — the worst case of leaving the harness on.
-
-   The acceptance bound applies to the supervised variant; the armed
-   figure is reported so the cost of leaving injection armed in
-   production is a measured number rather than a guess. *)
-type sup_triple = {
-  s_off : float;
-  s_sup : float;
-  s_armed : float;
-  sup_pct : float;
-  armed_pct : float;
-}
+let hot_paths =
+  lazy
+    (let st = join_state 1000 in
+     let plan = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
+     let stc = chain_state 12 in
+     let cache = Decide_cache.create () in
+     let enum ?budget () =
+       match budget with
+       | None ->
+         ignore
+           (Enumerate.run ~fuel:200_000 ~max_certified:24 ~cache ~domain:eq_domain ~state:stc
+              g_query)
+       | Some budget ->
+         ignore
+           (Enumerate.run_budgeted ~max_certified:24 ~cache ~budget ~domain:eq_domain
+              ~state:stc g_query)
+     in
+     enum ();
+     let cooper_sentence = parse "forall x. exists y. x = 2 * y \\/ x = 2 * y + 1" in
+     [ { path = "chain_join_n1000";
+         run = (fun ?budget () -> ignore (Relalg.eval ~state:st ?budget plan)) };
+       { path = "enumerate_warm_cache"; run = enum };
+       { path = "cooper_qe";
+         run = (fun ?budget () -> ignore (Cooper.decide ?budget cooper_sentence)) }
+     ])
 
 let bench_policy = { Supervisor.default_policy with Supervisor.sleep = (fun _ -> ()) }
 
@@ -777,70 +521,10 @@ let supervised f () =
   | Supervisor.Value v -> v
   | Supervisor.Crashed c -> failwith c.Supervisor.reason
 
-let best_sup_triple ~rounds ~chunk f =
-  let armed = Fault.chaos ~permille:0 ~seed:0 () in
-  let offs = Array.make rounds 0. in
-  let sups = Array.make rounds 0. in
-  let arms = Array.make rounds 0. in
-  for r = 0 to rounds - 1 do
-    Gc.major ();
-    ignore (chunk_us ~chunk f);
-    let mo = ref infinity and ms = ref infinity and ma = ref infinity in
-    for _ = 1 to 5 do
-      mo := Float.min !mo (chunk_us ~chunk f);
-      ms := Float.min !ms (chunk_us ~chunk (supervised f));
-      ma := Float.min !ma (Fault.with_plan armed (fun () -> chunk_us ~chunk f))
-    done;
-    offs.(r) <- !mo;
-    sups.(r) <- !ms;
-    arms.(r) <- !ma
-  done;
-  let ratio a = median (Array.init rounds (fun r -> a.(r) /. offs.(r))) in
-  { s_off = median offs;
-    s_sup = median sups;
-    s_armed = median arms;
-    sup_pct = 100. *. (ratio sups -. 1.);
-    armed_pct = 100. *. (ratio arms -. 1.) }
-
-let supervision_ablation () =
-  let n = 1000 in
-  let st = join_state n in
-  let plan = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
-  let join () = Relalg.eval ~state:st plan in
-  let join_t = best_sup_triple ~rounds:15 ~chunk:4 join in
-  let stc = chain_state 12 in
-  let cache = Decide_cache.create () in
-  let enum () =
-    Enumerate.run ~fuel:200_000 ~max_certified:24 ~cache ~domain:eq_domain ~state:stc g_query
-  in
-  ignore (enum ());
-  let enum_t = best_sup_triple ~rounds:15 ~chunk:4 enum in
-  let cooper_sentence = parse "forall x. exists y. x = 2 * y \\/ x = 2 * y + 1" in
-  let cooper () = Cooper.decide cooper_sentence in
-  let cooper_t = best_sup_triple ~rounds:21 ~chunk:100 cooper in
-  let entry name t =
-    ( name,
-      `Assoc
-        [ ("plain_us", `Float t.s_off);
-          ("supervised_us", `Float t.s_sup);
-          ("armed_plan_us", `Float t.s_armed);
-          ("supervised_overhead_pct", `Float t.sup_pct);
-          ("armed_plan_overhead_pct", `Float t.armed_pct) ] )
-  in
-  let worst sel =
-    List.fold_left Float.max neg_infinity (List.map sel [ join_t; enum_t; cooper_t ])
-  in
-  ( `Assoc
-      [ entry "chain_join_n1000" join_t;
-        entry "enumerate_warm_cache" enum_t;
-        entry "cooper_qe" cooper_t ],
-    worst (fun t -> t.sup_pct),
-    worst (fun t -> t.armed_pct) )
-
-(* PR 5 correctness half: the batch query set evaluated through the
-   supervised 4-way worker pool (shared decide cache, one supervise
-   envelope per job, as [fq batch --jobs 4] does) must agree tuple for
-   tuple with plain sequential evaluation. *)
+(* The batch query set evaluated through the supervised 4-way worker pool
+   (shared decide cache, one supervise envelope per job, as
+   [fq batch --jobs 4] does) must agree tuple for tuple with plain
+   sequential evaluation. *)
 let batch_agreement () =
   let order_domain : Domain.t = (module Nat_order) in
   let specs =
@@ -858,7 +542,9 @@ let batch_agreement () =
   let seq = Array.map (eval None) specs in
   let cache = Decide_cache.create () in
   let par =
-    Supervisor.parallel_map ~jobs:4 (fun spec -> supervised (fun () -> eval (Some cache) spec) ()) specs
+    Supervisor.parallel_map ~jobs:4
+      (fun spec -> supervised (fun () -> eval (Some cache) spec) ())
+      specs
   in
   Array.for_all2
     (fun a b ->
@@ -868,24 +554,12 @@ let batch_agreement () =
       | _ -> false)
     seq par
 
-(* ------------------------------------------------------------------ *)
-(* PR 6 ablation: columnar batch engine vs the row-at-a-time engine    *)
-(* ------------------------------------------------------------------ *)
-
-(* Both engines are timed on identical optimized plans; the row engine
-   stays selectable precisely so this ablation keeps an honest baseline.
-   The two workloads bracket the engine on join-heavy shapes whose
+(* The columnar workloads bracket the engine on join-heavy shapes whose
    intermediates dwarf their answers — where execution cost lives in the
    operator inner loops rather than in materializing the (identical)
-   final relation:
-   - the chain join is many-to-many (each hop fans out [fan] ways
-     through [hubs] hub values) over Int (bigint) keys, projected to the
-     hub pair at the ends — the optimized plan runs two hash joins whose
-     intermediate is [fan] times the base cardinality;
-   - the G(x,z) sweep runs the whole RANF pipeline (compile + optimize +
-     eval) on a dense graph of string vertices (each vertex reaches its
-     [fan] successors), where the row engine additionally pays string
-     hashing per probe. *)
+   final relation.  Both engines run identical optimized plans; the row
+   engine stays selectable precisely so these gates keep an honest
+   baseline. *)
 let with_engine e f =
   let old = !Relalg.default_engine in
   Relalg.default_engine := e;
@@ -893,8 +567,10 @@ let with_engine e f =
 
 (* R fans into [hubs] hub values, S connects each hub to its [fan]
    successors, T closes the loop; the chain R |x| S |x| T therefore has
-   n*fan intermediate tuples but only hubs*fan distinct hub pairs. *)
-let hub_join_state ~n ~hubs ~fan =
+   n*fan intermediate tuples but only hubs*fan distinct hub pairs, over
+   Int (bigint) keys. *)
+let hub_join_state ~n ~fan =
+  let hubs = max 4 (n / 20) in
   let r = List.init n (fun i -> [ vi i; vi (i mod hubs) ]) in
   let s =
     List.concat_map
@@ -908,8 +584,9 @@ let hub_join_state ~n ~hubs ~fan =
       ("T", Relation.make ~arity:2 t) ]
 
 let hub_join_plan =
-  Relalg.(
-    Project ([ 1; 5 ], Join ([ (3, 0) ], Join ([ (1, 0) ], Rel "R", Rel "S"), Rel "T")))
+  Optimizer.optimize_for ~schema:join_schema
+    Relalg.(
+      Project ([ 1; 5 ], Join ([ (3, 0) ], Join ([ (1, 0) ], Rel "R", Rel "S"), Rel "T")))
 
 (* a graph on [n] string vertices where each vertex reaches its [fan]
    successors: G(x,z) has ~n*fan^2 join candidates, ~n*2*fan answers.
@@ -926,134 +603,6 @@ let dense_chain_state ~n ~fan =
   in
   State.make ~schema:family_schema [ ("F", Relation.make ~arity:2 edges) ]
 
-let columnar_ablation ~n_join ~n_chain =
-  let fan = 12 in
-  let st = hub_join_state ~n:n_join ~hubs:(max 4 (n_join / 20)) ~fan in
-  let plan = Optimizer.optimize_for ~schema:join_schema hub_join_plan in
-  let join e () = Relalg.eval ~state:st ~engine:e plan in
-  let join_agree =
-    Relation.equal (join Relalg.Row_engine ()) (join Relalg.Columnar_engine ())
-  in
-  let join_reps = max 2 (6_000 / n_join) in
-  let join_row, join_col =
-    best_pair ~runs:7 ~reps:join_reps
-      (join Relalg.Row_engine)
-      (join Relalg.Columnar_engine)
-  in
-  let stc = dense_chain_state ~n:n_chain ~fan in
-  let ranf e () = with_engine e (fun () -> Ranf.run ~domain:eq_domain ~state:stc g_query) in
-  let enum_agree =
-    match (ranf Relalg.Row_engine (), ranf Relalg.Columnar_engine ()) with
-    | Ok a, Ok b -> Relation.equal a b
-    | _ -> false
-  in
-  let enum_reps = max 2 (3_000 / n_chain) in
-  let enum_row, enum_col =
-    best_pair ~runs:5 ~reps:enum_reps
-      (ranf Relalg.Row_engine)
-      (ranf Relalg.Columnar_engine)
-  in
-  (* budget governance on the columnar engine: same envelope as A3, on a
-     join sized so the per-eval envelope cost (budget construction, DLS
-     install, span) is amortized the way a governed production eval
-     amortizes it — not measured against a sub-200us toy eval *)
-  let n_gov = 8 * n_join in
-  let stg = hub_join_state ~n:n_gov ~hubs:(max 4 (n_gov / 20)) ~fan in
-  let gov_reps = max 2 (6_000 / n_gov) in
-  let gov_plain, gov_gov =
-    best_pair ~runs:9 ~reps:gov_reps
-      (fun () -> Relalg.eval ~state:stg ~engine:Relalg.Columnar_engine plan)
-      (fun () ->
-        Relalg.eval ~state:stg ~engine:Relalg.Columnar_engine ~budget:(full_budget ()) plan)
-  in
-  let gov_pct = 100.0 *. ((gov_gov /. gov_plain) -. 1.0) in
-  let entry label n row col agree =
-    ( label,
-      `Assoc
-        [ ("n", `Int n);
-          ("row_us", `Float row);
-          ("columnar_us", `Float col);
-          ("speedup", `Float (row /. col));
-          ("agree", `Bool agree) ] )
-  in
-  ( `Assoc
-      [ entry "chain_join" n_join join_row join_col join_agree;
-        entry "enumeration_sweep_ranf_G" n_chain enum_row enum_col enum_agree;
-        ( "governed_columnar_join",
-          `Assoc
-            [ ("plain_us", `Float gov_plain);
-              ("governed_us", `Float gov_gov);
-              ("overhead_pct", `Float gov_pct) ] ) ],
-    (join_row /. join_col, enum_row /. enum_col, join_agree && enum_agree, gov_pct) )
-
-let ablations () =
-  section "A1 (PR 1): hash-join engine vs naive product-filter (3-way chain join)";
-  row "%6s %14s %14s %10s" "n" "naive(us)" "hashjoin(us)" "speedup";
-  List.iter
-    (fun n ->
-      let _, agree, naive_us, opt_us = join_ablation ~n in
-      row "%6d %14.0f %14.0f %9.1fx%s" n naive_us opt_us (naive_us /. opt_us)
-        (if agree then "" else "  ** MISMATCH **"))
-    [ 100; 1000 ];
-  section "A2 (PR 1): Enumerate.run with and without the decide cache";
-  row "%6s %8s %14s %14s %10s" "edges" "answers" "uncached(us)" "warm(us)" "speedup";
-  List.iter
-    (fun n ->
-      let _, answers, uncached_us, warm_us = cache_ablation ~n in
-      row "%6d %8d %14.0f %14.0f %9.1fx" n answers uncached_us warm_us (uncached_us /. warm_us))
-    [ 6; 12 ];
-  section "A3 (PR 3): resource-governor overhead on completing hot paths";
-  let detail, worst = governor_ablation () in
-  (match detail with
-  | `Assoc entries ->
-    row "%-24s %14s %14s %10s" "path" "plain(us)" "governed(us)" "overhead";
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | `Assoc [ (_, `Float plain); (_, `Float gov); (_, `Float pct) ] ->
-          row "%-24s %14.1f %14.1f %9.1f%%" name plain gov pct
-        | _ -> ())
-      entries
-  | _ -> ());
-  row "worst-case overhead: %.1f%% (acceptance: < 5%%)" worst;
-  section "A4 (PR 4): telemetry overhead (disabled / no-op sink / recording)";
-  let detail, worst_noop = telemetry_ablation () in
-  (match detail with
-  | `Assoc entries ->
-    row "%-24s %12s %12s %12s %10s" "path" "off(us)" "noop(us)" "record(us)" "noop-ovh";
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | `Assoc
-            [ (_, `Float off); (_, `Float noop); (_, `Float recd); (_, `Float noop_pct); _ ] ->
-          row "%-24s %12.1f %12.1f %12.1f %9.1f%%" name off noop recd noop_pct
-        | _ -> ())
-      entries
-  | _ -> ());
-  row "worst-case no-op-sink overhead: %.1f%% (acceptance: < 2%%)" worst_noop;
-  section "A5 (PR 5): supervision overhead (plain / supervised / armed fault plan)";
-  let detail, worst_sup, worst_armed = supervision_ablation () in
-  (match detail with
-  | `Assoc entries ->
-    row "%-24s %12s %12s %12s %10s" "path" "plain(us)" "superv(us)" "armed(us)" "sup-ovh";
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | `Assoc
-            [ (_, `Float plain); (_, `Float sup); (_, `Float armed); (_, `Float sup_pct); _ ]
-          ->
-          row "%-24s %12.1f %12.1f %12.1f %9.1f%%" name plain sup armed sup_pct
-        | _ -> ())
-      entries
-  | _ -> ());
-  row "worst-case supervised overhead: %.1f%% (acceptance: <= 2%%); armed plan: %.1f%%"
-    worst_sup worst_armed;
-  row "4-way supervised batch agrees with sequential: %b" (batch_agreement ())
-
-(* ------------------------------------------------------------------ *)
-(* A7: fq serve - snapshot warm start and wire overhead                *)
-(* ------------------------------------------------------------------ *)
-
 (* QE-heavy Presburger sentences: each costs a full quantifier
    elimination cold and a hash lookup warm. *)
 let serve_qe_sentences =
@@ -1067,117 +616,8 @@ let serve_qe_sentences =
       "forall x. exists y. y = 3 * x + 1 /\\ x < y";
       "forall x y. exists z. x + y < z /\\ z = 2 * x + 2 * y + 1" ]
 
-let serve_ablation () =
-  (* (a) first-query decide cost, cold cache vs snapshot-loaded cache *)
-  let decide_pass cache =
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun f -> ignore (Decide_cache.decide cache presburger f)) serve_qe_sentences;
-    (Unix.gettimeofday () -. t0) *. 1e6
-  in
-  let snapshot = Filename.temp_file "fq_bench_snap" ".fq" in
-  let seed = Decide_cache.create () in
-  ignore (decide_pass seed);
-  (match Decide_cache.save seed snapshot with
-  | Ok _ -> ()
-  | Error e -> failwith ("serve ablation: snapshot save: " ^ e));
-  let passes = 5 in
-  let cold_total = ref 0.0 and warm_total = ref 0.0 in
-  for _ = 1 to passes do
-    cold_total := !cold_total +. decide_pass (Decide_cache.create ());
-    let warm = Decide_cache.create () in
-    (match Decide_cache.load warm snapshot with
-    | Ok _ -> ()
-    | Error e -> failwith ("serve ablation: snapshot load: " ^ e));
-    warm_total := !warm_total +. decide_pass warm
-  done;
-  Sys.remove snapshot;
-  let cold_us = !cold_total /. float_of_int passes in
-  let warm_us = !warm_total /. float_of_int passes in
-  let warm_speedup = cold_us /. Float.max warm_us 1e-9 in
-  (* (b) per-request wire overhead: the same query through a live
-     in-process server (socket + JSON + admission + dispatch) vs a
-     direct eval_resilient call *)
-  let sock = Filename.temp_file "fq_bench_serve" ".sock" in
-  Sys.remove sock;
-  let addr = Server.Unix_path sock in
-  let cfg =
-    { (Server.default_config ~state:family_state addr) with
-      Server.jobs = 2;
-      log = (fun _ -> ()) }
-  in
-  let server_result = ref (Error "server never returned") in
-  let th = Thread.create (fun () -> server_result := Server.run cfg) () in
-  let client =
-    match Client.connect ~retries:200 ~delay_ms:25 addr with
-    | Ok c -> c
-    | Error e -> failwith ("serve ablation: " ^ e)
-  in
-  let formula = "exists y. F(x, y)" in
-  let request i =
-    match
-      Client.request client
-        (Protocol.Eval
-           { id = string_of_int i; domain = None; formula; fuel = None;
-             timeout_ms = None; resume = None; trace = None })
-    with
-    | Ok (_, Protocol.R_outcome _) -> ()
-    | Ok _ -> failwith "serve ablation: unexpected reply"
-    | Error e -> failwith ("serve ablation: " ^ e)
-  in
-  request 0;
-  let n = 300 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to n do
-    request i
-  done;
-  let serve_us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n in
-  (match Client.request client (Protocol.Shutdown { id = "bye" }) with
-  | Ok _ -> ()
-  | Error e -> failwith ("serve ablation: shutdown: " ^ e));
-  Client.close client;
-  Thread.join th;
-  (match !server_result with
-  | Ok 0 -> ()
-  | Ok c -> failwith (Printf.sprintf "serve ablation: server exited %d" c)
-  | Error e -> failwith ("serve ablation: " ^ e));
-  let parsed = parse formula in
-  let direct () =
-    ignore (Query.eval_resilient ~domain:presburger ~state:family_state parsed)
-  in
-  direct ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    direct ()
-  done;
-  let direct_us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n in
-  let detail =
-    `Assoc
-      [ ("qe_sentences", `Int (List.length serve_qe_sentences));
-        ("timing_passes", `Int passes);
-        ("cold_first_query_us", `Float cold_us);
-        ("warm_first_query_us", `Float warm_us);
-        ("warm_start_speedup", `Float warm_speedup);
-        ("serve_requests", `Int n);
-        ("serve_request_us", `Float serve_us);
-        ("direct_eval_us", `Float direct_us);
-        ("wire_overhead_us", `Float (serve_us -. direct_us)) ]
-  in
-  (detail, (warm_speedup, serve_us, direct_us))
-
-(* PR 8: cost of crash-safe journaling on the decide fill path.  Every
-   sentence is distinct, so every verdict is a fresh cacheable fill —
-   the worst case for the journal hook, which renders the entry and
-   appends one CRC-framed record (write syscall, no fsync) per fill.
-
-   The acceptance number is measured at the fill path itself, through
-   the production hook wiring (Decide_cache.set_on_insert -> journal
-   mutex -> entry_to_line -> Journal.append), on a worker domain: QE +
-   cache insert with the hook vs without.  An end-to-end serve
-   comparison is reported alongside for context, but a socket round
-   trip costs O(100us) of thread/domain scheduling with comparable
-   variance, which drowns a ~5us mechanism — it does not gate. *)
+(* four QE shapes, parametrized to distinct sentences *)
 let journal_fill_sentences n =
-  (* four QE shapes, parametrized to distinct sentences *)
   List.init n (fun i ->
       let k = (i / 4) + 2 in
       match i mod 4 with
@@ -1187,626 +627,394 @@ let journal_fill_sentences n =
       | _ -> Printf.sprintf "exists x. forall y. x < y \\/ x = y \\/ y < x + %d" k)
   |> List.map parse
 
-let journal_fill_pass ~journal sentences =
-  let jstate =
-    match journal with
-    | false -> None
-    | true ->
-      let p = Filename.temp_file "fq_bench_fill" ".j" in
-      Sys.remove p;
-      (match Journal.open_append p with
-      | Ok j -> Some (j, p, Mutex.create ())
-      | Error e -> failwith ("journal ablation: " ^ e))
-  in
-  let cache = Decide_cache.create () in
-  (match jstate with
-  | Some (j, _, lock) ->
-    Decide_cache.set_on_insert cache
-      (Some
-         (fun key value ->
-           Mutex.lock lock;
-           Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
-           match Journal.append j (Decide_cache.entry_to_line key value) with
-           | Ok () -> ()
-           | Error e -> failwith ("journal ablation: append: " ^ e)))
-  | None -> ());
-  let us =
-    Stdlib.Domain.join
-      (Stdlib.Domain.spawn (fun () ->
-           let t0 = Unix.gettimeofday () in
-           List.iter (fun f -> ignore (Decide_cache.decide cache presburger f)) sentences;
-           (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (List.length sentences)))
-  in
-  (match jstate with
-  | Some (j, p, _) ->
-    Journal.close j;
-    Sys.remove p
-  | None -> ());
-  us
+let or_fail what = function Ok v -> v | Error e -> failwith (what ^ ": " ^ e)
 
-let journal_ablation () =
-  let n = 120 and passes = 6 in
-  let sentences = journal_fill_sentences 200 in
-  let fill_on = ref infinity and fill_off = ref infinity in
-  for p = 1 to passes do
-    if p mod 2 = 1 then begin
-      fill_off := Float.min !fill_off (journal_fill_pass ~journal:false sentences);
-      fill_on := Float.min !fill_on (journal_fill_pass ~journal:true sentences)
-    end
-    else begin
-      fill_on := Float.min !fill_on (journal_fill_pass ~journal:true sentences);
-      fill_off := Float.min !fill_off (journal_fill_pass ~journal:false sentences)
-    end
-  done;
-  let fill_overhead_pct = (!fill_on -. !fill_off) /. Float.max !fill_off 1e-9 *. 100.0 in
-  let texts =
-    Array.init n (fun i ->
-        Printf.sprintf "forall x. exists y. x < y /\\ y < x + %d" (i + 2))
-  in
-  let run_pass ~journal =
-    let sock = Filename.temp_file "fq_bench_jserve" ".sock" in
-    Sys.remove sock;
-    let jpath =
-      if journal then begin
-        let p = Filename.temp_file "fq_bench_journal" ".j" in
-        Sys.remove p;
-        Some p
-      end
-      else None
-    in
-    let addr = Server.Unix_path sock in
-    let cfg =
-      { (Server.default_config ~state:family_state addr) with
-        Server.jobs = 2;
-        journal = jpath;
-        log = (fun _ -> ()) }
-    in
-    let server_result = ref (Error "server never returned") in
-    let th = Thread.create (fun () -> server_result := Server.run cfg) () in
-    let client =
-      match Client.connect ~retries:200 ~delay_ms:25 addr with
-      | Ok c -> c
-      | Error e -> failwith ("journal ablation: " ^ e)
-    in
-    let request id text =
-      match
-        Client.request client
-          (Protocol.Eval
-             { id; domain = Some "presburger"; formula = text; fuel = None;
-               timeout_ms = None; resume = None; trace = None })
-      with
-      | Ok (_, Protocol.R_outcome _) -> ()
-      | Ok _ -> failwith "journal ablation: unexpected reply"
-      | Error e -> failwith ("journal ablation: " ^ e)
-    in
-    request "warm" "forall x. exists y. x < y";
-    let t0 = Unix.gettimeofday () in
-    Array.iteri (fun i t -> request (string_of_int i) t) texts;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n in
-    (match Client.request client (Protocol.Shutdown { id = "bye" }) with
-    | Ok _ -> ()
-    | Error e -> failwith ("journal ablation: shutdown: " ^ e));
-    Client.close client;
-    Thread.join th;
-    (match !server_result with
-    | Ok 0 -> ()
-    | Ok c -> failwith (Printf.sprintf "journal ablation: server exited %d" c)
-    | Error e -> failwith ("journal ablation: " ^ e));
-    (us, jpath)
-  in
-  (* QE dominates each request (~200us) while the append is ~3us, so the
-     delta drowns in scheduler/allocator noise on any single pass: take
-     the best pass per configuration (min is the standard robust latency
-     estimator), alternating run order so neither side benefits from
-     machine warm-up. *)
-  let on_best = ref infinity and off_best = ref infinity in
-  let recovered = ref 0 and recovery_us = ref 0.0 in
-  for p = 1 to passes do
-    let measure ~journal =
-      let us, jpath = run_pass ~journal in
-      (match jpath with
-      | None -> ()
-      | Some jp ->
-        (* no snapshot is configured, so the journal still holds every
-           record after the graceful shutdown — replay and time it *)
-        let count = ref 0 in
-        let t0 = Unix.gettimeofday () in
-        (match Journal.recover jp ~f:(fun _ -> incr count) with
-        | Ok _ -> ()
-        | Error e -> failwith ("journal ablation: recover: " ^ e));
-        if p = passes then begin
-          recovered := !count;
-          recovery_us := (Unix.gettimeofday () -. t0) *. 1e6
-        end;
-        Sys.remove jp);
-      us
-    in
-    if p mod 2 = 1 then begin
-      off_best := Float.min !off_best (measure ~journal:false);
-      on_best := Float.min !on_best (measure ~journal:true)
-    end
-    else begin
-      on_best := Float.min !on_best (measure ~journal:true);
-      off_best := Float.min !off_best (measure ~journal:false)
-    end
-  done;
-  let off_us = !off_best in
-  let on_us = !on_best in
-  let e2e_delta_us = on_us -. off_us in
-  let detail =
-    `Assoc
-      [ ("fill_sentences", `Int (List.length sentences));
-        ("timing_passes", `Int passes);
-        ("fill_us_journal_off", `Float !fill_off);
-        ("fill_us_journal_on", `Float !fill_on);
-        ("fill_overhead_pct", `Float fill_overhead_pct);
-        ("e2e_requests", `Int n);
-        ("e2e_request_us_journal_off", `Float off_us);
-        ("e2e_request_us_journal_on", `Float on_us);
-        ("e2e_delta_us", `Float e2e_delta_us);
-        ("records_recovered", `Int !recovered);
-        ("recovery_total_us", `Float !recovery_us);
-        ( "recovery_us_per_record",
-          `Float (!recovery_us /. Float.max (float_of_int !recovered) 1.0) ) ]
-  in
-  (detail, (fill_overhead_pct, !recovered))
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable output (-- json)                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* minimal JSON printer — no external dependency *)
-let rec print_json fmt = function
-  | `Null -> Format.fprintf fmt "null"
-  | `Bool b -> Format.fprintf fmt "%b" b
-  | `Int n -> Format.fprintf fmt "%d" n
-  | `Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Format.fprintf fmt "%.0f" f
-    else Format.fprintf fmt "%.3f" f
-  | `String s -> Format.fprintf fmt "%S" s
-  | `List items ->
-    Format.fprintf fmt "@[<hv 2>[";
-    List.iteri
-      (fun i item ->
-        if i > 0 then Format.fprintf fmt ",@ ";
-        print_json fmt item)
-      items;
-    Format.fprintf fmt "]@]"
-  | `Assoc fields ->
-    Format.fprintf fmt "@[<hv 2>{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Format.fprintf fmt ",@ ";
-        Format.fprintf fmt "%S: %a" k print_json v)
-      fields;
-    Format.fprintf fmt "}@]"
-
-let json_report () =
-  let join_json, join_agree, join_naive, join_opt = join_ablation ~n:1000 in
-  let cache_json, cache_answers, cache_uncached, cache_warm = cache_ablation ~n:12 in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 1);
-        ("description", `String "hash-join execution engine + plan optimizer + decide cache");
-        ("join_ablation", join_json);
-        ("decide_cache_ablation", cache_json);
-        ( "acceptance",
-          `Assoc
-            [ ("join_agree", `Bool join_agree);
-              ("join_speedup_ge_5x", `Bool (join_naive >= 5.0 *. join_opt));
-              ("cache_answers_ge_8", `Bool (cache_answers >= 8));
-              ("cache_speedup_gt_1x", `Bool (cache_uncached > cache_warm)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-
-let json_report_pr3 () =
-  let detail, worst = governor_ablation () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 3);
-        ( "description",
-          `String
-            "unified resource governor: budgeted execution, structured failure, graceful \
-             degradation" );
-        ("governor_overhead", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("worst_overhead_pct", `Float worst);
-              ("overhead_lt_5pct", `Bool (worst < 5.0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-
-(* ------------------------------------------------------------------ *)
-(* PR 9: request tracing + always-on metrics pipeline                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-request cost of the observability plane on the serving path: an
-   in-process server answers the same sequential request stream with
-   head-sampled tracing off (trace_sample = 0, the always-on labeled
-   aggregation still running — it has no off switch by design) and with
-   1-in-8 sampling.  Arms alternate across passes and each arm keeps its
-   minimum, so scheduler noise cancels instead of accumulating. *)
-let observability_serve_pass ~trace_sample n =
-  let sock = Filename.temp_file "fq_bench_obs" ".sock" in
+(* The one way the bench boots a server: [boot addr] runs in a forked
+   child.  This process must have no threads and no domains yet — a fork
+   inherits every lock another thread holds (a worker forked while a
+   bench thread held a channel lock died at GC with mutex_free: EBUSY),
+   and OCaml 5 refuses to fork once a domain exists.  Servers are
+   therefore always forked, never run in-process, and before any gate
+   that spawns a domain. *)
+let with_server boot k =
+  let sock = Filename.temp_file "fq_bench" ".sock" in
   Sys.remove sock;
   let addr = Server.Unix_path sock in
-  let cfg =
-    { (Server.default_config ~state:family_state addr) with
-      Server.jobs = 2;
-      trace_sample;
-      log = (fun _ -> ()) }
-  in
-  let server_result = ref (Error "server never returned") in
-  let th = Thread.create (fun () -> server_result := Server.run cfg) () in
-  let client =
-    match Client.connect ~retries:200 ~delay_ms:25 addr with
-    | Ok c -> c
-    | Error e -> failwith ("observability ablation: " ^ e)
-  in
-  let formula = "exists y. F(x, y)" in
-  let request i =
+  Format.print_flush ();
+  let pid = Unix.fork () in
+  if pid = 0 then Unix._exit (match boot addr with Ok c -> c | Error _ -> 3);
+  match k addr with
+  | exception e ->
+    Unix.kill pid Sys.sigterm;
+    ignore (Unix.waitpid [] pid);
+    raise e
+  | r ->
+    let c = or_fail "bench: shutdown connect" (Client.connect ~retries:50 ~delay_ms:25 addr) in
+    ignore (or_fail "bench: shutdown" (Client.request c (Protocol.Shutdown { id = "bye" })));
+    Client.close c;
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> r
+    | _ -> failwith "bench: server exited abnormally")
+
+let serve_config addr =
+  { (Server.default_config ~state:family_state addr) with
+    Server.jobs = 2;
+    log = (fun _ -> ()) }
+
+let with_client addr k =
+  let c = or_fail "bench: connect" (Client.connect ~retries:200 ~delay_ms:25 addr) in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> k c)
+
+(* the arm: [reps] sequential trivial eval requests on one connection *)
+let eval_requests client reps =
+  for i = 1 to reps do
     match
       Client.request client
         (Protocol.Eval
-           { id = string_of_int i; domain = None; formula; fuel = None;
+           { id = string_of_int i; domain = None; formula = "exists y. F(x, y)"; fuel = None;
              timeout_ms = None; resume = None; trace = None })
     with
     | Ok (_, Protocol.R_outcome _) -> ()
-    | Ok _ -> failwith "observability ablation: unexpected reply"
-    | Error e -> failwith ("observability ablation: " ^ e)
-  in
-  (* warm the worker domains, the decide cache and the socket path *)
-  for i = 0 to 24 do
-    request i
-  done;
-  (* time in chunks and keep the best chunk: one descheduling event then
-     poisons a chunk, not the whole pass *)
-  let chunk = 50 in
-  let best = ref infinity in
-  for c = 0 to (n / chunk) - 1 do
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to chunk - 1 do
-      request (100 + (c * chunk) + i)
-    done;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int chunk in
-    if us < !best then best := us
-  done;
-  let us = !best in
-  (match Client.request client (Protocol.Shutdown { id = "bye" }) with
-  | Ok _ -> ()
-  | Error e -> failwith ("observability ablation: shutdown: " ^ e));
-  Client.close client;
-  Thread.join th;
-  (match !server_result with
-  | Ok 0 -> ()
-  | Ok c -> failwith (Printf.sprintf "observability ablation: server exited %d" c)
-  | Error e -> failwith ("observability ablation: " ^ e));
-  us
-
-let tracing_ablation () =
-  let n = 500 and passes = 5 in
-  let plain = ref infinity and traced = ref infinity in
-  for _ = 1 to passes do
-    plain := Float.min !plain (observability_serve_pass ~trace_sample:0 n);
-    traced := Float.min !traced (observability_serve_pass ~trace_sample:8 n)
-  done;
-  let overhead_pct = 100. *. (!traced -. !plain) /. !plain in
-  ( `Assoc
-      [ ("serve_requests_per_pass", `Int n);
-        ("timing_passes", `Int passes);
-        ("trace_sample", `Int 8);
-        ("plain_request_us", `Float !plain);
-        ("traced_request_us", `Float !traced);
-        ("sampled_tracing_overhead_pct", `Float overhead_pct) ],
-    overhead_pct )
-
-let json_report_pr4 () =
-  let detail, worst_noop = telemetry_ablation () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 4);
-        ( "description",
-          `String
-            "telemetry: hierarchical spans, counters, histograms with pluggable sinks; \
-             overhead of the disabled path vs the no-op sink vs a full recording on the \
-             governed hot paths" );
-        ("telemetry_overhead", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("worst_noop_overhead_pct", `Float worst_noop);
-              ("noop_overhead_lt_2pct", `Bool (worst_noop < 2.0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-
-let json_report_pr5 () =
-  let detail, worst_sup, worst_armed = supervision_ablation () in
-  let agree = batch_agreement () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 5);
-        ( "description",
-          `String
-            "fault injection + supervised parallel batch: overhead of the per-job \
-             supervise envelope and of an armed-but-silent chaos plan on the governed \
-             hot paths, plus agreement of the supervised 4-way worker pool with \
-             sequential evaluation" );
-        ("supervision_overhead", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("parallel_batch_agrees", `Bool agree);
-              ("worst_supervised_overhead_pct", `Float worst_sup);
-              ("worst_armed_plan_overhead_pct", `Float worst_armed);
-              ("supervised_overhead_le_2pct", `Bool (worst_sup <= 2.0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-
-let json_report_pr6 () =
-  let detail, (join_speedup, enum_speedup, agree, gov_pct) =
-    columnar_ablation ~n_join:2000 ~n_chain:4000
-  in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 6);
-        ( "description",
-          `String
-            "columnar batch execution engine (dictionary-encoded column batches, \
-             selection vectors, code-keyed hash joins) vs the row-at-a-time engine on \
-             identical plans, plus budget-governance overhead on the columnar engine" );
-        ("columnar_ablation", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("engines_agree", `Bool agree);
-              ("chain_join_speedup", `Float join_speedup);
-              ("enumeration_speedup", `Float enum_speedup);
-              ("chain_join_speedup_ge_10x", `Bool (join_speedup >= 10.0));
-              ("enumeration_speedup_ge_10x", `Bool (enum_speedup >= 10.0));
-              ("governed_overhead_pct", `Float gov_pct);
-              ("governed_overhead_le_5pct", `Bool (gov_pct <= 5.0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-let json_report_pr7 () =
-  let detail, (warm_speedup, serve_us, direct_us) = serve_ablation () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 7);
-        ( "description",
-          `String
-            "fq serve: decide-cache snapshot warm start (first-query QE cost, cold vs \
-             snapshot-loaded) and per-request wire overhead of the NDJSON daemon vs a \
-             direct eval_resilient call on the same state" );
-        ("serve_ablation", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("warm_start_speedup", `Float warm_speedup);
-              ("warm_start_speedup_ge_5x", `Bool (warm_speedup >= 5.0));
-              ("serve_request_us", `Float serve_us);
-              ("direct_eval_us", `Float direct_us) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-
-let json_report_pr8 () =
-  let detail, (overhead_pct, recovered) = journal_ablation () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 8);
-        ( "description",
-          `String
-            "crash-safe serving: overhead of the decide-cache journal hook on the fill \
-             path (QE + cache insert + CRC-framed append per fresh verdict, through the \
-             production set_on_insert wiring, on a worker domain) vs the same fills \
-             unjournaled; an end-to-end serve comparison and a full recovery replay of \
-             the journal a serve run produced are reported for context" );
-        ("journal_ablation", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("fill_overhead_pct", `Float overhead_pct);
-              ("fill_overhead_le_5pct", `Bool (overhead_pct <= 5.0));
-              ("records_recovered", `Int recovered);
-              ("recovery_complete", `Bool (recovered > 0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
-
-let json_report_pr9 () =
-  let tel_detail, worst_noop = telemetry_ablation () in
-  let trace_detail, trace_pct = tracing_ablation () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 9);
-        ( "description",
-          `String
-            "end-to-end request tracing and the always-on metrics pipeline: the PR 4 \
-             telemetry ablation re-run on top of the labeled Aggregate registry and \
-             histogram key-space LRU (the one-ref-read disabled-path discipline must \
-             survive them), and per-request cost of a live server with 1-in-8 \
-             head-sampled tracing vs sampling off (alternating passes, min per arm)" );
-        ("telemetry_overhead", tel_detail);
-        ("tracing_ablation", trace_detail);
-        ( "acceptance",
-          `Assoc
-            [ ("worst_noop_overhead_pct", `Float worst_noop);
-              ("noop_overhead_lt_2pct", `Bool (worst_noop < 2.0));
-              ("sampled_tracing_overhead_pct", `Float trace_pct);
-              ("sampled_tracing_overhead_le_5pct", `Bool (trace_pct <= 5.0)) ] ) ]
-  in
-  Format.printf "%a@." print_json doc
+    | Ok _ -> failwith "bench: unexpected reply"
+    | Error e -> failwith ("bench: " ^ e)
+  done
 
 (* ------------------------------------------------------------------ *)
-(* PR 10: multi-process fleet vs a single in-process serve             *)
+(* Gates (-- gates)                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-request cost of a supervised fleet worker vs a single [fq serve]
-   daemon on the same sequential request stream.  Both arms fork their
-   server: that is how both are actually deployed (an in-process serve
-   thread shares the client's address space and measures ~2us/request
-   faster than any real daemon), and it is the only shape the fleet arm
-   tolerates — OCaml 5 refuses Unix.fork once any domain exists in this
-   process, which booting Server.run in-process would do.  Each server
-   boots once and stays up for the whole ablation; the two clients then
-   alternate short timing passes (identical warm-up + chunked loop,
-   best 50-request chunk per pass, min across passes) so a load spike
-   lands on both arms instead of biasing whichever arm owned that
-   stretch of wall clock. *)
-let fleet_request_stream client n =
-  let request i =
-    match
-      Client.request client
-        (Protocol.Eval
-           { id = string_of_int i; domain = None; formula = "exists y. F(x, y)";
-             fuel = None; timeout_ms = None; resume = None; trace = None })
-    with
-    | Ok (_, Protocol.R_outcome _) -> ()
-    | Ok _ -> failwith "fleet ablation: unexpected reply"
-    | Error e -> failwith ("fleet ablation: " ^ e)
-  in
-  for i = 0 to 24 do
-    request i
-  done;
-  let chunk = 50 in
-  let best = ref infinity in
-  for c = 0 to (n / chunk) - 1 do
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to chunk - 1 do
-      request (100 + (c * chunk) + i)
-    done;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int chunk in
-    if us < !best then best := us
-  done;
-  !best
+type bound = At_least of float | Above of float | Below of float | At_most of float
 
-let with_fleet_worker_client k =
-  let sock = Filename.temp_file "fq_bench_fleet" ".sock" in
-  Sys.remove sock;
-  let addr = Server.Unix_path sock in
-  let base = Fleet.default_config ~state:family_state addr in
-  let cfg =
-    { base with
-      Fleet.workers = 2;
-      (* the probes stay on (the supervision plane is part of what is
-         being measured) but are made load-proof: under `dune build`
-         every BENCH rule runs at once, and a starved worker that
-         merely answers slowly must not be health-killed mid-pass *)
-      probe_timeout_ms = 5_000;
-      probe_failures = 1_000;
-      serve = { base.Fleet.serve with Server.jobs = 2; log = (fun _ -> ()) } }
-  in
-  let result = ref (Error "fleet never returned") in
-  let th = Thread.create (fun () -> result := Fleet.run cfg) () in
-  (* discover a worker through the control socket, then talk to it
-     directly — the per-request path a spread batch client takes *)
-  let worker =
-    match Client.discover ~retries:200 ~delay_ms:25 addr with
-    | Ok (true, w :: _) -> w
-    | Ok _ -> failwith "fleet ablation: no workers discovered"
-    | Error e -> failwith ("fleet ablation: discover: " ^ e)
-  in
-  let client =
-    match Client.connect ~retries:200 ~delay_ms:25 worker with
-    | Ok c -> c
-    | Error e -> failwith ("fleet ablation: worker connect: " ^ e)
-  in
-  let r = k client in
-  Client.close client;
-  (match Client.connect ~retries:50 ~delay_ms:25 addr with
-  | Ok c ->
-    (match Client.request c (Protocol.Shutdown { id = "bye" }) with
-    | Ok _ -> ()
-    | Error e -> failwith ("fleet ablation: shutdown: " ^ e));
-    Client.close c
-  | Error e -> failwith ("fleet ablation: shutdown connect: " ^ e));
-  Thread.join th;
-  (match !result with
-  | Ok 0 -> ()
-  | Ok c -> failwith (Printf.sprintf "fleet ablation: fleet exited %d" c)
-  | Error e -> failwith ("fleet ablation: " ^ e));
-  r
+type gate = {
+  id : string;
+  value : float * float * float;  (** 25th, 50th, 75th percentile over rounds *)
+  unit_s : string;
+  bound : bound;
+  holds : (string * bool) list;  (** correctness conditions gated alongside *)
+  note : string;  (** workload size, per-arm times, ungated arms *)
+}
 
-let with_lone_serve_client k =
-  let sock = Filename.temp_file "fq_bench_lone" ".sock" in
-  Sys.remove sock;
-  let addr = Server.Unix_path sock in
-  let cfg =
-    { (Server.default_config ~state:family_state addr) with
-      Server.jobs = 2;
-      log = (fun _ -> ()) }
-  in
-  flush stdout;
-  flush stderr;
-  let pid = Unix.fork () in
-  if pid = 0 then Unix._exit (match Server.run cfg with Ok c -> c | Error _ -> 3);
-  let client =
-    match Client.connect ~retries:200 ~delay_ms:25 addr with
-    | Ok c -> c
-    | Error e -> failwith ("fleet ablation: serve connect: " ^ e)
-  in
-  let r = k client in
-  (match Client.request client (Protocol.Shutdown { id = "bye" }) with
-  | Ok _ -> ()
-  | Error e -> failwith ("fleet ablation: serve shutdown: " ^ e));
-  Client.close client;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> failwith "fleet ablation: serve exited abnormally");
-  r
+let gate_passes g =
+  let _, m, _ = g.value in
+  List.for_all snd g.holds
+  &&
+  match g.bound with
+  | At_least b -> m >= b
+  | Above b -> m > b
+  | Below b -> m < b
+  | At_most b -> m <= b
 
-let fleet_ablation () =
-  let n = 500 and passes = 9 in
-  (* the fleet boots first: its supervisor forks, and fork must precede
-     any domain in this process (neither server runs in-process, so no
-     domain ever appears here) *)
-  with_fleet_worker_client @@ fun fleet_client ->
-  with_lone_serve_client @@ fun serve_client ->
-  let fleet = ref infinity and serve = ref infinity in
-  for _ = 1 to passes do
-    fleet := Float.min !fleet (fleet_request_stream fleet_client n);
-    serve := Float.min !serve (fleet_request_stream serve_client n)
-  done;
-  let overhead_pct = 100. *. (!fleet -. !serve) /. !serve in
-  ( `Assoc
-      [ ("requests_per_pass", `Int n);
-        ("timing_passes", `Int passes);
-        ("fleet_workers", `Int 2);
-        ("fleet_request_us", `Float !fleet);
-        ("single_serve_request_us", `Float !serve);
-        ("fleet_overhead_pct", `Float overhead_pct) ],
-    overhead_pct )
-
-let json_report_pr10 () =
-  let detail, overhead_pct = fleet_ablation () in
-  let doc =
-    `Assoc
-      [ ("pr", `Int 10);
-        ( "description",
-          `String
-            "fq fleet: per-request cost of a forked, supervised fleet worker \
-             (discovered via fleet-status, own listener and journal, read-only shared \
-             snapshot) vs a single forked fq serve process on the same sequential \
-             request stream; the supervision plane (probes, reaping, control socket) \
-             runs throughout the fleet arm, and the arms alternate passes" );
-        ("fleet_ablation", detail);
-        ( "acceptance",
-          `Assoc
-            [ ("fleet_overhead_pct", `Float overhead_pct);
-              ("fleet_overhead_le_5pct", `Bool (overhead_pct <= 5.0)) ] ) ]
+let print_gate g =
+  let q1, m, q3 = g.value in
+  let bound =
+    match g.bound with
+    | At_least b -> Printf.sprintf ">= %g" b
+    | Above b -> Printf.sprintf "> %g" b
+    | Below b -> Printf.sprintf "< %g" b
+    | At_most b -> Printf.sprintf "<= %g" b
   in
-  Format.printf "%a@." print_json doc
+  let holds = List.map (fun (k, v) -> k ^ if v then ":ok" else ":FAILED") g.holds in
+  row "%-34s %9.2f%-1s [%8.2f, %8.2f] %-6s %s  %s" g.id m g.unit_s q1 q3 bound
+    (if gate_passes g then "PASS" else "FAIL")
+    (String.concat " " (holds @ [ g.note ]))
+
+(* arm [i] against arm 0, as a speedup (arm 0 is the slow baseline) or as
+   an overhead in percent (arm 0 is the plain path) *)
+let speedup (t : Paired.t) i =
+  let q1, m, q3 = t.Paired.ratio.(i) in
+  (1. /. q3, 1. /. m, 1. /. q1)
+
+let overhead_pct (t : Paired.t) i =
+  let q1, m, q3 = t.Paired.ratio.(i) in
+  (100. *. (q1 -. 1.), 100. *. (m -. 1.), 100. *. (q3 -. 1.))
+
+let arm_us names (t : Paired.t) =
+  String.concat " " (List.mapi (fun i n -> Printf.sprintf "%s=%.1fus" n t.Paired.us.(i)) names)
+
+let hashjoin_gate () =
+  let st = join_state 1000 in
+  let optimized = Optimizer.optimize_for ~schema:join_schema naive_join_plan in
+  let naive () = Relalg.eval ~state:st naive_join_plan in
+  let hashjoin () = Relalg.eval ~state:st optimized in
+  let agree = Relation.equal (naive ()) (hashjoin ()) in
+  let t = Paired.run ~rounds:3 [| repeat naive; repeat hashjoin |] in
+  { id = "hashjoin.speedup_n1000"; value = speedup t 1; unit_s = "x"; bound = At_least 5.;
+    holds = [ ("agree", agree) ]; note = arm_us [ "naive"; "hashjoin" ] t }
+
+(* G(x,z) on a path of 12 edges: the enumeration re-decides the candidate
+   sentence for every active-domain value, so a warm shared cache turns
+   every decide into a hash lookup.  An uncached run takes seconds, hence
+   one round. *)
+let decide_cache_gate () =
+  let st = chain_state 12 in
+  let run ?cache () =
+    Enumerate.run ~fuel:200_000 ~max_certified:24 ?cache ~domain:eq_domain ~state:st g_query
+  in
+  let cache = Decide_cache.create () in
+  let answers =
+    match run ~cache () with Ok (Enumerate.Finite r) -> Relation.cardinal r | _ -> -1
+  in
+  let t = Paired.run ~rounds:1 [| repeat run; repeat (run ~cache) |] in
+  { id = "decide_cache.warm_speedup_n12"; value = speedup t 1; unit_s = "x"; bound = Above 1.;
+    holds = [ ("answers>=8", answers >= 8) ];
+    note = Printf.sprintf "answers=%d %s" answers (arm_us [ "uncached"; "warm" ] t) }
+
+(* [arms p] is the arms timed on hot path [p], arm 0 its plain run; the
+   gate reads arm 1's worst overhead over the paths, and arm 2, if any,
+   is reported as [extra]. *)
+let overhead_gate ~id ~bound ?extra arms =
+  let per_path =
+    List.map (fun p -> (p.path, Paired.run ~rounds:21 (arms p))) (Lazy.force hot_paths)
+  in
+  let pcts i = List.map (fun (path, t) -> (path, overhead_pct t i)) per_path in
+  let worst =
+    List.fold_left
+      (fun ((_, (_, m, _)) as w) ((_, (_, m', _)) as x) -> if m' > m then x else w)
+      (List.hd (pcts 1)) (pcts 1)
+  in
+  let show i =
+    String.concat " "
+      (List.map (fun (path, (_, m, _)) -> Printf.sprintf "%s=%.1f%%" path m) (pcts i))
+  in
+  { id; value = snd worst; unit_s = "%"; bound; holds = [];
+    note =
+      show 1 ^ Option.fold ~none:"" ~some:(fun label -> "; " ^ label ^ ": " ^ show 2) extra }
+
+let governor_gate () =
+  overhead_gate ~id:"governor.overhead_pct" ~bound:(Below 5.) (fun p ->
+      [| repeat p.run; repeat (fun () -> p.run ~budget:(full_budget ()) ()) |])
+
+(* Telemetry disabled (every instrumentation point is one ref read and a
+   branch), the no-op sink (the observation path runs but discards
+   events), and a full recording.  The collector is installed around a
+   whole chunk, so the one-time cost of building one stays amortized
+   below the effect under test. *)
+let telemetry_gate () =
+  overhead_gate ~id:"telemetry.noop_overhead_pct" ~bound:(Below 2.) ~extra:"recording"
+    (fun p ->
+      [| repeat p.run;
+         (fun reps -> Telemetry.with_noop (fun () -> repeat p.run reps));
+         (fun reps -> ignore (Telemetry.record (fun () -> repeat p.run reps))) |])
+
+(* Plain is the shipped default: fault sites compiled in but no plan
+   installed, so every [Fault.hit] is one domain-local read.  Supervised
+   runs every repetition through [Supervisor.supervise], the per-job
+   envelope of [fq batch].  Armed installs a chaos plan with permille 0,
+   so every fault site takes the full schedule path without ever firing:
+   the cost of leaving injection armed, reported, not gated. *)
+let supervision_gate () =
+  let armed = Fault.chaos ~permille:0 ~seed:0 () in
+  let g =
+    overhead_gate ~id:"supervision.overhead_pct" ~bound:(At_most 2.) ~extra:"armed plan"
+      (fun p ->
+        [| repeat p.run;
+           repeat (supervised p.run);
+           (fun reps -> Fault.with_plan armed (fun () -> repeat p.run reps)) |])
+  in
+  { g with holds = [ ("4-way batch agrees", batch_agreement ()) ] }
+
+let columnar_speedups ~n_join ~n_chain =
+  let fan = 12 in
+  let st = hub_join_state ~n:n_join ~fan in
+  let join e () = Relalg.eval ~state:st ~engine:e hub_join_plan in
+  let row, col = Relalg.(Row_engine, Columnar_engine) in
+  let join_agree = Relation.equal (join row ()) (join col ()) in
+  let join_t = Paired.run ~rounds:15 [| repeat (join row); repeat (join col) |] in
+  let stc = dense_chain_state ~n:n_chain ~fan in
+  let ranf e () = with_engine e (fun () -> Ranf.run ~domain:eq_domain ~state:stc g_query) in
+  let ranf_agree =
+    match (ranf row (), ranf col ()) with
+    | Ok a, Ok b -> Relation.equal a b
+    | _ -> false
+  in
+  (* a row-engine run at n = 4000 takes about a second, hence 3 rounds *)
+  let ranf_t = Paired.run ~rounds:3 [| repeat (ranf row); repeat (ranf col) |] in
+  [ { id = Printf.sprintf "columnar.chain_join_speedup_n%d" n_join; value = speedup join_t 1;
+      unit_s = "x"; bound = At_least 10.; holds = [ ("engines agree", join_agree) ];
+      note = arm_us [ "row"; "columnar" ] join_t };
+    { id = Printf.sprintf "columnar.ranf_G_speedup_n%d" n_chain; value = speedup ranf_t 1;
+      unit_s = "x"; bound = At_least 10.; holds = [ ("engines agree", ranf_agree) ];
+      note = arm_us [ "row"; "columnar" ] ranf_t } ]
+
+(* budget governance on the columnar engine, on a join sized (8x the
+   speedup gate's) so the per-eval envelope cost (budget construction,
+   DLS install, span) is amortized the way a governed production eval
+   amortizes it *)
+let columnar_governed_gate () =
+  let n = 16_000 in
+  let st = hub_join_state ~n ~fan:12 in
+  let eval ?budget () =
+    Relalg.eval ~state:st ~engine:Relalg.Columnar_engine ?budget hub_join_plan
+  in
+  let t =
+    Paired.run ~rounds:15 [| repeat eval; repeat (fun () -> eval ~budget:(full_budget ()) ()) |]
+  in
+  { id = "columnar.governed_overhead_pct"; value = overhead_pct t 1; unit_s = "%";
+    bound = At_most 5.; holds = [];
+    note = Printf.sprintf "n=%d %s" n (arm_us [ "plain"; "governed" ] t) }
+
+(* First-query decide cost of the 8 QE sentences: a cold cache against a
+   fresh cache that first loads the snapshot, load included. *)
+let snapshot_gate () =
+  let decide_all cache =
+    List.iter (fun f -> ignore (Decide_cache.decide cache presburger f)) serve_qe_sentences
+  in
+  let snapshot = Filename.temp_file "fq_bench_snap" ".fq" in
+  let seed = Decide_cache.create () in
+  decide_all seed;
+  ignore (or_fail "snapshot save" (Decide_cache.save seed snapshot));
+  let warm () =
+    let c = Decide_cache.create () in
+    ignore (or_fail "snapshot load" (Decide_cache.load c snapshot));
+    decide_all c
+  in
+  let cold () = decide_all (Decide_cache.create ()) in
+  let t = Paired.run ~rounds:15 [| repeat cold; repeat warm |] in
+  Sys.remove snapshot;
+  { id = "snapshot.warm_start_speedup"; value = speedup t 1; unit_s = "x"; bound = At_least 5.;
+    holds = [];
+    note =
+      Printf.sprintf "sentences=%d %s" (List.length serve_qe_sentences)
+        (arm_us [ "cold"; "warm" ] t) }
+
+(* Cost of crash-safe journaling on the decide fill path.  Every sentence
+   is distinct, so every verdict is a fresh cacheable fill — the worst
+   case for the journal hook, which renders the entry and appends one
+   CRC-framed record (write syscall, no fsync) per fill, through the
+   production wiring (Decide_cache.set_on_insert -> journal mutex ->
+   entry_to_line -> Journal.append).  Every file the journal arm wrote
+   must then recover every record it appended. *)
+let journal_gate () =
+  let sentences = journal_fill_sentences 200 in
+  let written = ref [] in
+  let fill ~journal () =
+    let cache = Decide_cache.create () in
+    let j =
+      if not journal then None
+      else begin
+        let p = Filename.temp_file "fq_bench_fill" ".j" in
+        Sys.remove p;
+        let j = or_fail "journal" (Journal.open_append p) in
+        let lock = Mutex.create () in
+        Decide_cache.set_on_insert cache
+          (Some
+             (fun key value ->
+               let line = Decide_cache.entry_to_line key value in
+               Mutex.protect lock (fun () ->
+                   or_fail "journal append" (Journal.append j line))));
+        Some j
+      end
+    in
+    List.iter (fun f -> ignore (Decide_cache.decide cache presburger f)) sentences;
+    Option.iter
+      (fun j ->
+        Journal.close j;
+        written := (Journal.path j, Journal.appended j) :: !written)
+      j
+  in
+  (* a pass of 200 fills takes about half a second, hence 5 rounds *)
+  let t =
+    Paired.run ~rounds:5 [| repeat (fill ~journal:false); repeat (fill ~journal:true) |]
+  in
+  let recovers (path, appended) =
+    let count = ref 0 in
+    let ok = Result.is_ok (Journal.recover path ~f:(fun _ -> incr count)) in
+    Sys.remove path;
+    ok && appended > 0 && !count = appended
+  in
+  let recovered = !written <> [] && List.for_all recovers !written in
+  { id = "journal.fill_overhead_pct"; value = overhead_pct t 1; unit_s = "%";
+    bound = At_most 5.;
+    holds = [ ("every record recovered", recovered) ];
+    note =
+      Printf.sprintf "fills=%d files=%d %s" (List.length sentences) (List.length !written)
+        (arm_us [ "off"; "on" ] t) }
+
+(* Per-request cost of 1-in-8 head-sampled tracing on a live server,
+   against sampling off (the always-on labeled aggregation runs in both:
+   it has no off switch by design). *)
+let tracing_gate () =
+  let boot trace_sample addr = Server.run { (serve_config addr) with Server.trace_sample } in
+  let t =
+    with_server (boot 0) @@ fun plain ->
+    with_server (boot 8) @@ fun traced ->
+    with_client plain @@ fun cp ->
+    with_client traced @@ fun ct ->
+    Paired.run ~rounds:21 [| eval_requests cp; eval_requests ct |]
+  in
+  { id = "tracing.sampled_overhead_pct"; value = overhead_pct t 1; unit_s = "%";
+    bound = At_most 5.; holds = []; note = "sample=1/8 " ^ arm_us [ "off"; "sampled" ] t }
+
+(* Per-request cost of a supervised fleet worker, discovered through the
+   control socket and talked to directly (the path a spread batch client
+   takes), against a single fq serve process.  The supervision plane
+   (probes, reaping, control socket) runs throughout. *)
+let fleet_gate () =
+  let boot addr =
+    let base = Fleet.default_config ~state:family_state addr in
+    Fleet.run
+      { base with
+        Fleet.workers = 2;
+        (* probes stay on but are made load-proof: a starved worker that
+           merely answers slowly must not be health-killed mid-run *)
+        probe_timeout_ms = 5_000;
+        probe_failures = 1_000;
+        serve = serve_config addr }
+  in
+  let t =
+    with_server (fun addr -> Server.run (serve_config addr)) @@ fun lone ->
+    with_server boot @@ fun fleet ->
+    let worker =
+      match Client.discover ~retries:200 ~delay_ms:25 fleet with
+      | Ok (true, w :: _) -> w
+      | Ok _ -> failwith "fleet gate: no workers discovered"
+      | Error e -> failwith ("fleet gate: discover: " ^ e)
+    in
+    with_client lone @@ fun cl ->
+    with_client worker @@ fun cw ->
+    Paired.run ~rounds:21 [| eval_requests cl; eval_requests cw |]
+  in
+  { id = "fleet.overhead_pct"; value = overhead_pct t 1; unit_s = "%"; bound = At_most 5.;
+    holds = []; note = "workers=2 " ^ arm_us [ "serve"; "fleet" ] t }
+
+(* Exits 1 if any gate fails.  The server gates run first: they fork,
+   and fork must precede any domain (the supervision gate's worker pool
+   spawns some). *)
+let gates () =
+  Format.printf "Finite Queries - timing gates (Paired: median and IQR over rounds)@.";
+  row "%-34s %10s %20s %-6s %s  %s" "gate" "value" "IQR" "bound" "pass" "detail";
+  let results =
+    List.concat_map
+      (fun run ->
+        let gs = run () in
+        List.iter print_gate gs;
+        gs)
+      [ (fun () -> [ tracing_gate () ]);
+        (fun () -> [ fleet_gate () ]);
+        (fun () -> [ hashjoin_gate () ]);
+        (fun () -> [ decide_cache_gate () ]);
+        (fun () -> [ governor_gate () ]);
+        (fun () -> [ telemetry_gate () ]);
+        (fun () -> [ supervision_gate () ]);
+        (fun () -> columnar_speedups ~n_join:2000 ~n_chain:4000);
+        (fun () -> [ columnar_governed_gate () ]);
+        (fun () -> [ snapshot_gate () ]);
+        (fun () -> [ journal_gate () ]) ]
+  in
+  let failed = List.filter (fun g -> not (gate_passes g)) results in
+  row "%d of %d gates pass" (List.length results - List.length failed) (List.length results);
+  if failed <> [] then exit 1
 
 (* Downsized CI gate: fails (exit 1) if the columnar engine regresses
    below the row engine on the chain join, or the engines disagree. *)
 let smoke_pr6 () =
-  let detail, (join_speedup, enum_speedup, agree, _) =
-    columnar_ablation ~n_join:300 ~n_chain:300
-  in
-  Format.printf "%a@." print_json
-    (`Assoc
-      [ ("smoke", `String "pr6");
-        ("columnar_ablation", detail);
-        ("engines_agree", `Bool agree);
-        ("chain_join_speedup", `Float join_speedup);
-        ("enumeration_speedup", `Float enum_speedup) ]);
-  if not agree then begin
+  let gs = columnar_speedups ~n_join:300 ~n_chain:300 in
+  List.iter print_gate gs;
+  if not (List.for_all (fun g -> List.for_all snd g.holds) gs) then begin
     prerr_endline "smoke-pr6: FAIL engines disagree";
     exit 1
   end;
+  let _, join_speedup, _ = (List.hd gs).value in
   if join_speedup < 1.0 then begin
     Printf.eprintf "smoke-pr6: FAIL columnar slower than row on chain join (%.2fx)\n"
       join_speedup;
@@ -1814,13 +1022,10 @@ let smoke_pr6 () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
+(* Microbenchmarks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-open Bechamel
-open Toolkit
-
-let bench_tests =
+let microbenchmarks () =
   let input64 = String.make 64 '1' in
   let long_input = String.make 24 '1' in
   let long_trace = Option.get (Trace.trace_word ~machine:scan ~input:long_input ~k:24) in
@@ -1844,79 +1049,53 @@ let bench_tests =
   in
   let big_a = Bigint.of_string "123456789012345678901234567890" in
   let big_b = Bigint.of_string "987654321098765432109876543210" in
-  [ Test.make ~name:"tm/simulate-64"
-      (Staged.stage (fun () -> Run.run ~fuel:1_000 Zoo.scan_right input64));
-    Test.make ~name:"tm/trace-validate"
-      (Staged.stage (fun () -> Trace.p_pred scan long_input long_trace));
-    Test.make ~name:"tm/lemma-a2-builder"
-      (Staged.stage (fun () -> Builder.satisfiable lemma_constraints));
-    Test.make ~name:"qe/cooper" (Staged.stage (fun () -> Cooper.decide cooper_sentence));
-    Test.make ~name:"qe/presburger-relativized"
-      (Staged.stage (fun () -> Presburger.decide cooper_sentence));
-    Test.make ~name:"qe/nat-order-dedicated"
-      (Staged.stage (fun () -> Nat_order.decide order_sentence));
-    Test.make ~name:"qe/nat-order-via-cooper"
-      (Staged.stage (fun () -> Presburger.decide order_sentence));
-    Test.make ~name:"qe/nat-succ-dedicated"
-      (Staged.stage (fun () -> Nat_succ.decide succ_sentence));
-    Test.make ~name:"qe/nat-succ-via-cooper"
-      (Staged.stage (fun () -> Presburger.decide succ_sentence));
-    Test.make ~name:"reach/decide-exists-trace"
-      (Staged.stage (fun () -> Reach_qe.decide reach_sentence));
-    Test.make ~name:"eval/enumerate-M(x)"
-      (Staged.stage (fun () -> Enumerate.run ~domain:eq_domain ~state:family_state m_query));
-    Test.make ~name:"eval/algebra-M(x)"
-      (Staged.stage (fun () ->
-           Algebra_translate.run ~domain:eq_domain ~state:family_state m_query));
-    Test.make ~name:"relsafe/finitization"
-      (Staged.stage (fun () ->
-           Relative_safety.via_finitization ~domain:presburger ~decide:Presburger.decide
-             ~state:nat_state (parse "exists y. R(y) /\\ x < y")));
-    Test.make ~name:"relsafe/ext-active"
-      (Staged.stage (fun () ->
-           Ext_active.finite_in_state ~domain:succ_domain ~state:nat_state (parse "R(x)")));
-    Test.make ~name:"constraintdb/complement+project"
-      (Staged.stage (fun () -> Crel.project ~keep:[ "y" ] (Crel.complement crel_square)));
-    Test.make ~name:"bigint/lcm" (Staged.stage (fun () -> Bigint.lcm big_a big_b)) ]
-
-let run_benchmarks () =
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let instance = Instance.monotonic_clock in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  Format.printf "@.== Microbenchmarks (ns/run, monotonic clock) ==@.";
+  section "Microbenchmarks (ns/run, monotonic clock)";
   List.iter
-    (fun test ->
-      let measurements = Benchmark.all cfg [ instance ] test in
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) measurements []
-      |> List.sort compare
-      |> List.iter (fun (name, measurement) ->
-             let result = Analyze.one ols instance measurement in
-             match Analyze.OLS.estimates result with
-             | Some [ e ] -> Format.printf "  %-36s %12.0f@." name e
-             | _ -> Format.printf "  %-36s            ?@." name))
-    bench_tests
+    (fun (name, arm) ->
+      row "%-36s %12.0f" name (1e3 *. (Paired.run ~rounds:5 [| arm |]).Paired.us.(0)))
+    [ ("tm/simulate-64", repeat (fun () -> Run.run ~fuel:1_000 Zoo.scan_right input64));
+      ("tm/trace-validate", repeat (fun () -> Trace.p_pred scan long_input long_trace));
+      ("tm/lemma-a2-builder", repeat (fun () -> Builder.satisfiable lemma_constraints));
+      ("qe/cooper", repeat (fun () -> Cooper.decide cooper_sentence));
+      ("qe/presburger-relativized", repeat (fun () -> Presburger.decide cooper_sentence));
+      ("qe/nat-order-dedicated", repeat (fun () -> Nat_order.decide order_sentence));
+      ("qe/nat-order-via-cooper", repeat (fun () -> Presburger.decide order_sentence));
+      ("qe/nat-succ-dedicated", repeat (fun () -> Nat_succ.decide succ_sentence));
+      ("qe/nat-succ-via-cooper", repeat (fun () -> Presburger.decide succ_sentence));
+      ("reach/decide-exists-trace", repeat (fun () -> Reach_qe.decide reach_sentence));
+      ( "eval/enumerate-M(x)",
+        repeat (fun () -> Enumerate.run ~domain:eq_domain ~state:family_state m_query) );
+      ( "eval/algebra-M(x)",
+        repeat (fun () ->
+            Algebra_translate.run ~domain:eq_domain ~state:family_state m_query) );
+      ( "relsafe/finitization",
+        repeat (fun () ->
+            Relative_safety.via_finitization ~domain:presburger ~decide:Presburger.decide
+              ~state:nat_state (parse "exists y. R(y) /\\ x < y")) );
+      ( "relsafe/ext-active",
+        repeat (fun () ->
+            Ext_active.finite_in_state ~domain:succ_domain ~state:nat_state (parse "R(x)")) );
+      ( "constraintdb/complement+project",
+        repeat (fun () -> Crel.project ~keep:[ "y" ] (Crel.complement crel_square)) );
+      ("bigint/lcm", repeat (fun () -> Bigint.lcm big_a big_b)) ]
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "" in
   match mode with
-  | "json" -> json_report ()
-  | "json-pr3" -> json_report_pr3 ()
-  | "json-pr4" -> json_report_pr4 ()
-  | "json-pr5" -> json_report_pr5 ()
-  | "json-pr6" -> json_report_pr6 ()
-  | "json-pr7" -> json_report_pr7 ()
-  | "json-pr8" -> json_report_pr8 ()
-  | "json-pr9" -> json_report_pr9 ()
-  | "json-pr10" -> json_report_pr10 ()
+  | "gates" -> gates ()
   | "smoke-pr6" -> smoke_pr6 ()
-  | _ ->
-    let quick = mode = "quick" in
-    Format.printf
-      "Finite Queries - experiment harness (E1-E15), sweeps and microbenchmarks@.";
+  | "" | "quick" ->
+    Format.printf "Finite Queries - experiment harness (E1-E15), sweeps and microbenchmarks@.";
     experiments ();
-    ablations ();
-    if not quick then begin
+    if mode = "" then begin
       sweeps ();
-      run_benchmarks ()
+      microbenchmarks ()
     end;
-    Format.printf "@.done.@."
+    Format.printf "@.done.@.";
+    if !mismatches <> [] then begin
+      List.iter (Printf.eprintf "MISMATCH: %s\n") (List.rev !mismatches);
+      exit 1
+    end
+  | m ->
+    Printf.eprintf "usage: main.exe [quick | gates | smoke-pr6] (unknown mode %S)\n" m;
+    exit 2
