@@ -128,7 +128,7 @@ module Query = Fq_eval.Query
 module Protocol = Fq_server.Protocol
 module Server = Fq_server.Server
 module Client = Fq_server.Client
-module Journal = Fq_server.Journal
+module Journal = Fq_core.Journal
 module Fleet = Fq_server.Fleet
 
 (* safety *)

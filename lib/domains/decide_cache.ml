@@ -41,7 +41,9 @@ type t = {
   mutable insert_hook : (Formula.t -> (bool, string) result -> unit) option;
 }
 
-let create ?(size = 256) ?(capacity = 4096) () =
+(* Sized for a full cache: each growth re-hashes every key (snapshot load). *)
+let create ?size ?(capacity = 4096) () =
+  let size = Option.value size ~default:(if capacity > 0 then capacity else 256) in
   { table = H.create size;
     head = None;
     tail = None;
@@ -184,22 +186,14 @@ let decide c (module D : Domain.S) f =
 
 (* ----------------------------- snapshots ---------------------------- *)
 
-(* Versioned text format, one cached verdict per line, MRU first:
+(* A snapshot is a compacted journal segment (Fq_core.Journal): the
+   header, then one CRC-framed [entry_to_line] record per cached verdict,
+   LRU first, so replaying it in order through [restore] rebuilds the
+   recency list exactly.  Only theory-determined verdicts are in the table
+   (budget trips are never cached), so every entry is eternally valid — a
+   snapshot taken today warms a server booted next month. *)
 
-     fq-decide-cache 1
-     ok	BOOL	FORMULA
-     err	ESCAPED_MESSAGE	FORMULA
-
-   The formula is the alpha-normalized cache key printed in the concrete
-   syntax (print/parse is a tested roundtrip), rendered on an
-   infinite-margin formatter so it stays on one line; error messages are
-   String.escaped so tabs/newlines cannot break the framing.  Only
-   theory-determined verdicts are in the table (budget trips are never
-   cached), so every entry is eternally valid — a snapshot taken today
-   warms a server booted next month. *)
-
-let snapshot_magic = "fq-decide-cache"
-let snapshot_version = 1
+module Journal = Fq_core.Journal
 
 (* Cache keys are alpha-normalized, and [Formula.alpha_normalize] names
    bound variables with a '%' prefix the lexer cannot read back.  Print
@@ -272,43 +266,10 @@ let entry_of_line line =
     | Error e -> Error e)
   | _ -> Error "expected ok/err entry"
 
-let save c path =
-  let entries =
-    (* under the lock: walk MRU -> LRU; render outside any I/O failure *)
-    locked c (fun () ->
-        let rec walk acc = function
-          | None -> List.rev acc
-          | Some n -> walk ((n.key, n.value) :: acc) n.next
-        in
-        walk [] c.head)
-  in
-  let tmp = path ^ ".tmp" in
-  match Fq_core.Fault.hit "decide_cache.snapshot.save" with
-  | exception e ->
-    (* injected before the tmp file opens: a failed save must leave any
-       existing snapshot byte-identical (the rename is the only publish) *)
-    Error (Printf.sprintf "snapshot: injected fault: %s" (Printexc.to_string e))
-  | () -> (
-  match open_out tmp with
-  | exception Sys_error msg -> Error (Printf.sprintf "snapshot: %s" msg)
-  | oc -> (
-    match
-      Printf.fprintf oc "%s %d\n" snapshot_magic snapshot_version;
-      List.iter
-        (fun (key, value) -> Printf.fprintf oc "%s\n" (entry_to_line key value))
-        entries;
-      close_out oc;
-      Sys.rename tmp path
-    with
-    | () -> Ok (List.length entries)
-    | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error (Printf.sprintf "snapshot: %s" msg)))
-
-(* Insert one restored entry at the front of the recency list.  The
-   loader feeds entries LRU-first, so after the last insertion the
-   snapshot's recency order is restored exactly; the capacity bound
-   applies as usual (an over-capacity snapshot keeps its MRU prefix). *)
+(* Insert one restored entry at the front of the recency list.  Replay
+   feeds entries LRU-first, so after the last insertion the saved recency
+   order is restored exactly; the capacity bound applies as usual (an
+   over-capacity snapshot keeps its MRU prefix). *)
 let restore c key value =
   locked c (fun () ->
       (match H.find_opt c.table key with
@@ -321,39 +282,62 @@ let restore c key value =
         push_front c n);
       evict_excess c)
 
-let load c path =
-  match open_in path with
-  | exception Sys_error msg -> Error (Printf.sprintf "snapshot: %s" msg)
+let save c path =
+  let entries =
+    (* under the lock: walk MRU -> LRU, consing, so the list is LRU first *)
+    locked c (fun () ->
+        let rec walk acc = function
+          | None -> acc
+          | Some n -> walk ((n.key, n.value) :: acc) n.next
+        in
+        walk [] c.head)
+  in
+  match Fq_core.Fault.hit "decide_cache.snapshot.save" with
+  | exception e ->
+    (* injected before the tmp file opens: a failed save must leave any
+       existing snapshot byte-identical (the rename is the only publish) *)
+    Error (Printf.sprintf "snapshot: injected fault: %s" (Printexc.to_string e))
+  | () -> (
+    let payloads = Seq.map (fun (k, v) -> entry_to_line k v) (List.to_seq entries) in
+    match Journal.write path payloads with
+    | Ok () -> Ok (List.length entries)
+    | Error msg -> Error (Printf.sprintf "snapshot: %s" msg))
+
+(* The text snapshot format this segment replaced: a "fq-decide-cache 1"
+   header, then one unframed entry per line, MRU first.  Such a file is
+   read once (its lines, LRU first) and rewritten as a segment by the
+   next save. *)
+let legacy_lines path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
   | ic ->
-    let finally () = close_in_noerr ic in
-    Fun.protect ~finally @@ fun () ->
-    (match input_line ic with
-    | exception End_of_file -> Error "snapshot: empty file"
-    | header -> (
-      match String.split_on_char ' ' (String.trim header) with
-      | [ magic; version ] when magic = snapshot_magic ->
-        if int_of_string_opt version = Some snapshot_version then Ok ()
-        else Error (Printf.sprintf "snapshot: unsupported version %s (want %d)" version snapshot_version)
-      | _ -> Error (Printf.sprintf "snapshot: bad header %S" header)))
-    |> Fun.flip Result.bind @@ fun () ->
-    let parse_entry lineno line =
-      Result.map_error
-        (fun e -> Printf.sprintf "snapshot: line %d: %s" lineno e)
-        (entry_of_line line)
-    in
-    let rec read acc lineno =
-      match input_line ic with
-      | exception End_of_file -> Ok acc (* accumulated in reverse: LRU first *)
-      | line ->
-        let line = String.trim line in
-        if line = "" then read acc (lineno + 1)
-        else Result.bind (parse_entry lineno line) (fun e -> read (e :: acc) (lineno + 1))
-    in
-    Result.map
-      (fun entries ->
-        List.iter (fun (key, value) -> if cacheable value then restore c key value) entries;
-        List.length entries)
-      (read [] 2)
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    if In_channel.input_line ic <> Some "fq-decide-cache 1" then None
+    else
+      let lines = List.map String.trim (In_channel.input_lines ic) in
+      Some (List.rev (List.filter (( <> ) "") lines))
+
+(* The one replay path: snapshot, journal and legacy lines all get the
+   same parse, the same cacheable filter and the same skipped count. *)
+let load ?truncate c path =
+  let applied = ref 0 and skipped = ref 0 in
+  let replay payload =
+    match entry_of_line payload with
+    | Ok (key, value) when cacheable value ->
+      restore c key value;
+      incr applied
+    | Ok _ | Error _ -> incr skipped
+  in
+  let recovered =
+    match legacy_lines path with
+    | Some lines ->
+      List.iter replay lines;
+      Ok { Journal.applied = 0; skipped = 0; truncated_bytes = 0 }
+    | None -> Journal.recover ?truncate path ~f:replay
+  in
+  Result.map
+    (fun r -> { r with Journal.applied = !applied; skipped = r.Journal.skipped + !skipped })
+    recovered
 
 (* A domain whose [decide] consults the cache; every other component is
    forwarded. Lets cache-oblivious code (Enumerate, Relative_safety, the

@@ -21,7 +21,8 @@ type t
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 
 val create : ?size:int -> ?capacity:int -> unit -> t
-(** [size] is the initial hash-table size hint; [capacity] (default
+(** [size] is the initial hash-table size hint (default: [capacity],
+    or [256] when unbounded); [capacity] (default
     [4096]) bounds the number of {e retained} entries — the least
     recently used entry is evicted when an insertion would exceed it.  A
     non-positive [capacity] disables eviction (the pre-LRU unbounded
@@ -44,53 +45,50 @@ val set_on_insert : t -> (Fq_logic.Formula.t -> (bool, string) result -> unit) o
 (** [set_on_insert c (Some hook)] makes {!decide} call
     [hook key verdict] once per {e fresh} cacheable fill — after the
     cache lock is released, and never for hits, racing refills, or
-    {!restore}/{!load}.  This is the durability tap: [fq serve] hooks a
+    {!load}.  This is the durability tap: [fq serve] hooks a
     journal append here, so every verdict the cache learns is on disk
     before the crash that would otherwise forfeit it.  The hook runs on
     the deciding thread and must not call back into the cache. *)
 
-(** {1 Snapshots} — warm-start serialization for [fq serve].
+(** {1 Snapshots} — warm-start persistence for [fq serve] and [fq fleet].
 
-    A snapshot is a versioned text file ([fq-decide-cache 1]) holding
-    every cached verdict, MRU first: the alpha-normalized key formula in
-    concrete syntax plus its [Ok]/fragment-error verdict.  Budget trips
-    are never in the table, so every snapshot entry is a
+    A snapshot is a compacted {!Fq_core.Journal} segment: one CRC-framed
+    {!entry_to_line} record per cached verdict, least recently used
+    first.  Snapshots and journals are one format, read by one {!load}.
+    Budget trips are never in the table, so every entry is a
     theory-determined eternal truth — loading one into a fresh cache is
     sound for the same domain theory, and a restarted server answers
     previously-seen sentences without re-paying quantifier
     elimination. *)
 
 val save : t -> string -> (int, string) result
-(** [save c path] writes the snapshot atomically (temp file + rename) and
-    returns the number of entries written.  A failed save — including one
-    injected at the ["decide_cache.snapshot.save"] fault site — leaves
-    any existing snapshot at [path] byte-identical: the rename is the
-    only publish. *)
+(** [save c path] writes the whole cache as one segment atomically
+    (temp file + rename) and returns the number of entries written.  A
+    failed save — including one injected at the
+    ["decide_cache.snapshot.save"] fault site — leaves any existing
+    snapshot at [path] byte-identical: the rename is the only publish. *)
 
-val load : t -> string -> (int, string) result
-(** [load c path] parses a snapshot and merges it into [c], restoring the
-    saved recency order (existing entries are refreshed in place); the
-    capacity bound applies, so an over-capacity snapshot keeps its
-    most-recently-used prefix.  Returns the number of entries read;
-    [Error] on a missing file, a version mismatch, or a malformed
-    line. *)
+val load : ?truncate:bool -> t -> string -> (Fq_core.Journal.recovery, string) result
+(** [load c path] replays a segment (snapshot or journal) into [c] in
+    record order, so a snapshot's recency order is restored and later
+    segments win the MRU end; the capacity bound applies.  Each record
+    gets one {!entry_of_line} parse and the cacheable filter: one that
+    fails its CRC, does not parse, or carries a budget trip is counted in
+    [skipped], never restored; [applied] counts restored entries.
+    [Error] only as {!Fq_core.Journal.recover} (whose [?truncate] this
+    is) — except that a legacy [fq-decide-cache 1] text snapshot is read
+    line by line, bad lines skipped and counted, and rewritten as a
+    segment by the next {!save}. *)
 
 val entry_to_line : Fq_logic.Formula.t -> (bool, string) result -> string
-(** One cached verdict rendered as a single snapshot-format line (no
+(** One cached verdict rendered as a single line (no
     trailing newline): [ok\tBOOL\tFORMULA] or [err\tESCAPED\tFORMULA].
-    Guaranteed newline-free, so it doubles as the payload of a
-    {!Fq_server.Journal} record. *)
+    Guaranteed newline-free: it is the payload of every
+    {!Fq_core.Journal} record. *)
 
 val entry_of_line : string -> (Fq_logic.Formula.t * (bool, string) result, string) result
 (** Parse an {!entry_to_line} rendering back into an (alpha-normalized
     key, verdict) pair. *)
-
-val restore : t -> Fq_logic.Formula.t -> (bool, string) result -> unit
-(** [restore c key value] inserts one entry at the MRU front (refreshing
-    it in place if present) without firing the {!set_on_insert} hook —
-    the replay primitive for snapshot loading and journal recovery.
-    [key] must already be alpha-normalized ({!entry_of_line} output
-    is). *)
 
 val decide : t -> Domain.t -> Fq_logic.Formula.t -> (bool, string) result
 (** [decide cache d f] returns the cached verdict for any sentence

@@ -64,7 +64,9 @@ let send c req =
     output_char c.oc '\n';
     flush c.oc;
     Ok ()
-  with Sys_error e | Unix.Unix_error (_, e, _) -> Error ("send failed: " ^ e)
+  with
+  | Sys_error e | Unix.Unix_error (_, e, _) -> Error ("send failed: " ^ e)
+  | Sys_blocked_io -> Error "send failed: timed out"
 
 let has_sub needle hay =
   let n = String.length needle and h = String.length hay in
@@ -72,8 +74,8 @@ let has_sub needle hay =
   at 0
 
 (* A socket read timeout surfaces as EAGAIN, which the channel layer
-   wraps in Sys_error — classify it as a deadline, not a protocol
-   failure. *)
+   raises as Sys_blocked_io or wraps in Sys_error — classify it as a
+   deadline, not a protocol failure. *)
 let timed_out_msg e = has_sub "Resource temporarily unavailable" e || has_sub "Operation timed out" e
 
 (* Connection-level faults a multi-endpoint client treats as "this
@@ -92,6 +94,7 @@ let transient_error e =
 let recv_json c =
   match input_line c.ic with
   | exception End_of_file -> Error "connection closed by server"
+  | exception Sys_blocked_io -> Error "unsupported: timed out waiting for server reply"
   | exception Sys_error e ->
     if timed_out_msg e then Error "unsupported: timed out waiting for server reply"
     else Error ("recv failed: " ^ e)

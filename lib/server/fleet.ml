@@ -25,6 +25,7 @@
    their held locks, so the control loop never spawns one. *)
 
 module Json = Fq_core.Json
+module Journal = Fq_core.Journal
 module Aggregate = Fq_core.Aggregate
 module Decide_cache = Fq_domain.Decide_cache
 module Optimizer = Fq_db.Optimizer
@@ -80,6 +81,8 @@ type wrk = {
   mutable w_next_spawn : float;  (* ms timestamp a W_backoff respawn fires at *)
   mutable w_backoff_ms : float;
   mutable w_probe_fails : int;  (* consecutive failed health probes *)
+  mutable w_journal_records : int;  (* the worker's appends, as last probed *)
+  mutable w_folded_mark : int;  (* w_journal_records at the last compaction *)
 }
 
 type t = {
@@ -104,28 +107,26 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 
 (* ------------------------- snapshot + journals ---------------------- *)
 
-(* Replay one worker journal into the parent cache.  [destructive] only
-   when the worker is dead: the live fold must not truncate a torn tail
+(* Load every worker journal into the parent cache.  [destructive] only
+   once the workers are dead: the live fold must not truncate a torn tail
    (the worker owns the append position and may be mid-record), so it
    reads the file as-is — replay is idempotent, the next fold or the
    crash-time destructive fold picks up whatever this one missed. *)
-let fold_journal t jpath ~destructive =
-  let applied = ref 0 in
-  let replay payload =
-    match Decide_cache.entry_of_line payload with
-    | Ok (key, value) ->
-      Decide_cache.restore t.cache key value;
-      incr applied
-    | Error _ -> ()
-  in
-  (match Journal.recover ~truncate:destructive jpath ~f:replay with
-  | Ok _ -> if destructive then ( try Sys.remove jpath with Sys_error _ -> ())
-  | Error e -> t.log (Printf.sprintf "fq fleet: journal fold failed (%s): %s" jpath e));
-  t.folded <- t.folded + !applied;
-  !applied
-
-let fold_worker_journal t w ~destructive =
-  match w.w_journal with None -> 0 | Some j -> fold_journal t j ~destructive
+let fold_journals t ws ~destructive =
+  Array.fold_left
+    (fun acc w ->
+      match w.w_journal with
+      | None -> acc
+      | Some jpath -> (
+        match Decide_cache.load ~truncate:destructive t.cache jpath with
+        | Ok { Journal.applied; _ } ->
+          if destructive then ( try Sys.remove jpath with Sys_error _ -> ());
+          t.folded <- t.folded + applied;
+          acc + applied
+        | Error e ->
+          t.log (Printf.sprintf "fq fleet: journal fold failed (%s): %s" jpath e);
+          acc))
+    0 ws
 
 let save_snapshot t ~why =
   match t.cfg.serve.snapshot with
@@ -140,9 +141,8 @@ let save_snapshot t ~why =
 (* The parent-side compaction pass: fold every live worker's journal
    (read-only) and republish the snapshot they warm-boot from. *)
 let compact t ~why =
-  let folded =
-    Array.fold_left (fun acc w -> acc + fold_worker_journal t w ~destructive:false) 0 t.ws
-  in
+  let folded = fold_journals t t.ws ~destructive:false in
+  Array.iter (fun w -> w.w_folded_mark <- w.w_journal_records) t.ws;
   save_snapshot t ~why;
   t.compactions <- t.compactions + 1;
   folded
@@ -190,6 +190,9 @@ let spawn_worker t w =
       w.w_pid <- Some pid;
       w.w_status <- W_up;
       w.w_probe_fails <- 0;
+      (* a fresh process starts a fresh journal count *)
+      w.w_journal_records <- 0;
+      w.w_folded_mark <- 0;
       Ok pid)
 
 let schedule_respawn t w now =
@@ -207,7 +210,7 @@ let schedule_respawn t w now =
 let handle_death t w now ~how =
   w.w_pid <- None;
   t.log (Printf.sprintf "fq fleet: %s: %s" w.w_name how);
-  let folded = fold_worker_journal t w ~destructive:true in
+  let folded = fold_journals t [| w |] ~destructive:true in
   if folded > 0 then save_snapshot t ~why:(w.w_name ^ " journal fold");
   if t.stopping then ()
   else begin
@@ -303,7 +306,10 @@ let probes t now =
           match probe_worker t w with
           | Ok journal_records ->
             w.w_probe_fails <- 0;
-            lag := !lag + journal_records;
+            (* a worker never resets its journal (its snapshot is
+               read-only), so only the records since the last fold count *)
+            w.w_journal_records <- journal_records;
+            lag := !lag + journal_records - w.w_folded_mark;
             (* a stretch of health resets the crash history: only
                crashes in quick succession should trip the flap breaker *)
             (match w.w_crashes with
@@ -418,7 +424,8 @@ let up_count t =
 (* One synchronous control connection: the parent answers its own ops
    (topology, health, metrics, reload, shutdown, snapshot) and refuses
    evaluation — workers serve queries, the parent serves the fleet.  A
-   read timeout bounds how long a silent peer can hold the loop. *)
+   read timeout bounds how long a silent peer can hold the loop: it
+   surfaces as Sys_blocked_io, which ends the connection like EOF. *)
 let handle_conn t fd =
   (try
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
@@ -431,11 +438,11 @@ let handle_conn t fd =
       output_string oc (Json.to_string json);
       output_char oc '\n';
       flush oc
-    with Sys_error _ | Unix.Unix_error _ -> ()
+    with Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ()
   in
   let rec loop () =
     match input_line ic with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
+    | exception (End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _) -> ()
     | line when String.trim line = "" -> loop ()
     | line ->
       (match Protocol.parse_request (String.trim line) with
@@ -534,9 +541,7 @@ let graceful_shutdown t =
   wait false;
   (* reap already folded each journal as its worker died; this pass only
      catches a journal whose worker we never managed to reap *)
-  let _late : int =
-    Array.fold_left (fun acc w -> acc + fold_worker_journal t w ~destructive:true) 0 t.ws
-  in
+  let _late : int = fold_journals t t.ws ~destructive:true in
   save_snapshot t ~why:"shutdown";
   let restarts = Array.fold_left (fun acc w -> acc + w.w_restarts) 0 t.ws in
   t.log
@@ -591,7 +596,9 @@ let run cfg =
             w_crashes = [];
             w_next_spawn = 0.;
             w_backoff_ms = float_of_int cfg.base_backoff_ms;
-            w_probe_fails = 0 })
+            w_probe_fails = 0;
+            w_journal_records = 0;
+            w_folded_mark = 0 })
     in
     let t =
       { cfg;
@@ -623,24 +630,25 @@ let run cfg =
        the snapshot, so nothing a dead fleet decided is lost *)
     let snapshot_boot =
       match serve.Server.snapshot with
-      | Some path when Sys.file_exists path -> (
-        match Decide_cache.load t.cache path with
-        | Ok n -> Ok n
-        | Error e -> Error e)
-      | _ -> Ok 0
+      | Some path when Sys.file_exists path ->
+        Result.map Option.some (Decide_cache.load ~truncate:false t.cache path)
+      | _ -> Ok None
     in
     Result.bind snapshot_boot @@ fun loaded ->
-    let leftover =
-      Array.fold_left (fun acc w -> acc + fold_worker_journal t w ~destructive:true) 0 t.ws
-    in
+    let leftover = fold_journals t t.ws ~destructive:true in
     if leftover > 0 then begin
       t.log
         (Printf.sprintf "fq fleet: recovered %d journal records from a previous fleet"
            leftover);
       save_snapshot t ~why:"crash recovery"
     end;
-    if loaded > 0 then
-      t.log (Printf.sprintf "fq fleet: warm start, %d cached verdicts loaded" loaded);
+    Option.iter
+      (fun { Journal.applied; skipped; truncated_bytes } ->
+        t.log
+          (Printf.sprintf
+             "fq fleet: warm start, %d cached verdicts loaded (%d skipped, %d torn bytes)"
+             applied skipped truncated_bytes))
+      loaded;
     (* workers fork before the control socket binds, so the first N
        children have no parent fd to leak; respawns close it *)
     let spawn_errors =

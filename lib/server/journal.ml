@@ -1,187 +1,1 @@
-(* Append-only CRC-framed journal for the decide cache.  See journal.mli
-   for the format and the recovery semantics; the invariant everything
-   below maintains is that the file is always a valid header followed by
-   zero or more complete records plus at most one torn tail, so recovery
-   can never be worse than "lose the record being written". *)
-
-let magic = "fq-decide-journal"
-let version = 1
-let header = Printf.sprintf "%s %d" magic version
-
-(* IEEE CRC-32 (polynomial 0xEDB88320, the zlib/PNG one), table-driven.
-   Pure OCaml so the journal adds no dependencies. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 (s : string) : int32 =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let frame payload = Printf.sprintf "%08lx\t%s\n" (crc32 payload) payload
-
-(* A complete record line, without its trailing newline.  Returns the
-   payload if the frame checks out. *)
-let unframe line =
-  match String.index_opt line '\t' with
-  | Some 8 ->
-      let crc_hex = String.sub line 0 8 in
-      let payload = String.sub line 9 (String.length line - 9) in
-      let ok =
-        match Int32.of_string_opt ("0x" ^ crc_hex) with
-        | Some crc -> Int32.equal crc (crc32 payload)
-        | None -> false
-      in
-      if ok then Some payload else None
-  | _ -> None
-
-type t = {
-  j_path : string;
-  mutable j_fd : Unix.file_descr;
-  mutable j_appended : int;
-  mutable j_closed : bool;
-}
-
-type recovery = { applied : int; skipped : int; truncated_bytes : int }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let recover ?(truncate = true) path ~f =
-  if not (Sys.file_exists path) then Ok { applied = 0; skipped = 0; truncated_bytes = 0 }
-  else
-    match read_file path with
-    | exception Sys_error e -> Error (Printf.sprintf "journal: cannot read %s: %s" path e)
-    | contents when String.length contents = 0 ->
-        Ok { applied = 0; skipped = 0; truncated_bytes = 0 }
-    | contents -> (
-        (* Keep only the terminated prefix; whatever follows the last
-           newline is a torn tail from an interrupted append. *)
-        let valid_len =
-          match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
-        in
-        let torn = String.length contents - valid_len in
-        let lines =
-          if valid_len = 0 then []
-          else String.split_on_char '\n' (String.sub contents 0 (valid_len - 1))
-        in
-        match lines with
-        | [] ->
-            (* Nothing but a torn tail: the header itself never made it
-               to disk whole.  Treat as empty — open_append rewrites it. *)
-            if torn > 0 && truncate then
-              (try Unix.truncate path 0 with Unix.Unix_error _ -> ());
-            Ok { applied = 0; skipped = 0; truncated_bytes = torn }
-        | hd :: records ->
-            if not (String.equal hd header) then
-              Error
-                (Printf.sprintf "journal: %s: bad header %S (want %S)" path hd header)
-            else begin
-              if torn > 0 && truncate then
-                (try Unix.truncate path valid_len with Unix.Unix_error _ -> ());
-              let applied = ref 0 and skipped = ref 0 in
-              List.iter
-                (fun line ->
-                  match unframe line with
-                  | Some payload ->
-                      f payload;
-                      incr applied
-                  | None -> incr skipped)
-                records;
-              Ok { applied = !applied; skipped = !skipped; truncated_bytes = torn }
-            end)
-
-let open_append path =
-  try
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-    let size = (Unix.fstat fd).Unix.st_size in
-    if size = 0 then begin
-      let line = header ^ "\n" in
-      let n = Unix.write_substring fd line 0 (String.length line) in
-      if n <> String.length line then begin
-        Unix.close fd;
-        failwith "short write on journal header"
-      end
-    end;
-    Ok { j_path = path; j_fd = fd; j_appended = 0; j_closed = false }
-  with
-  | Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "journal: cannot open %s: %s" path (Unix.error_message e))
-  | Failure e -> Error (Printf.sprintf "journal: %s: %s" path e)
-
-(* Append one framed record.  O_APPEND makes the write atomic with
-   respect to position; a short write (ENOSPC mid-record) leaves a torn
-   tail that the next recovery truncates — never a corrupt prefix. *)
-let append t payload =
-  if t.j_closed then Error "journal: closed"
-  else
-    match Fq_core.Fault.hit "journal.append" with
-    | exception e -> Error (Printf.sprintf "journal: injected fault: %s" (Printexc.to_string e))
-    | () -> (
-        let line = frame payload in
-        match Unix.write_substring t.j_fd line 0 (String.length line) with
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Printf.sprintf "journal: append: %s" (Unix.error_message e))
-        | n when n <> String.length line ->
-            Error (Printf.sprintf "journal: short write (%d/%d bytes)" n (String.length line))
-        | _ ->
-            t.j_appended <- t.j_appended + 1;
-            Ok ())
-
-let sync t = if not t.j_closed then try Unix.fsync t.j_fd with Unix.Unix_error _ -> ()
-
-let close t =
-  if not t.j_closed then begin
-    t.j_closed <- true;
-    try Unix.close t.j_fd with Unix.Unix_error _ -> ()
-  end
-
-let path t = t.j_path
-let appended t = t.j_appended
-
-(* Compaction: the cache was just snapshotted, so the journal's records
-   are redundant — swap in a fresh header-only file.  Write-to-temp +
-   rename keeps a valid journal at [path] at every instant; the fd must
-   be reopened because the rename detaches the old inode. *)
-let reset t =
-  if t.j_closed then Error "journal: closed"
-  else
-    match Fq_core.Fault.hit "journal.rotate" with
-    | exception e -> Error (Printf.sprintf "journal: injected fault: %s" (Printexc.to_string e))
-    | () -> (
-        let tmp = t.j_path ^ ".tmp" in
-        try
-          let oc = open_out_bin tmp in
-          output_string oc (header ^ "\n");
-          close_out oc;
-          Sys.rename tmp t.j_path;
-          (try Unix.close t.j_fd with Unix.Unix_error _ -> ());
-          let fd = Unix.openfile t.j_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-          t.j_fd <- fd;
-          Ok ()
-        with
-        | Sys_error e | Failure e ->
-            (try Sys.remove tmp with Sys_error _ -> ());
-            Error (Printf.sprintf "journal: reset: %s" e)
-        | Unix.Unix_error (e, _, _) ->
-            (try Sys.remove tmp with Sys_error _ -> ());
-            Error (Printf.sprintf "journal: reset: %s" (Unix.error_message e)))
+include Fq_core.Journal

@@ -29,6 +29,7 @@ module Budget = Fq_core.Budget
 module Telemetry = Fq_core.Telemetry
 module Supervisor = Fq_core.Supervisor
 module Json = Fq_core.Json
+module Journal = Fq_core.Journal
 module Formula = Fq_logic.Formula
 module Parser = Fq_logic.Parser
 module Relation = Fq_db.Relation
@@ -938,34 +939,32 @@ let health_response srv ~id =
    same temp+rename. *)
 let snapshot_writable cfg = cfg.snapshot <> None && not cfg.snapshot_read_only
 
+(* A successful snapshot subsumes the journal: reset it so recovery
+   never replays records the snapshot already holds (replaying them
+   would be idempotent, just wasted boot time). *)
 let save_snapshot srv =
   if not (snapshot_writable srv.cfg) then Ok 0
   else
     match Decide_cache.save srv.cache (Option.get srv.cfg.snapshot) with
     | Ok n ->
       Atomic.set srv.last_save (Unix.gettimeofday ());
+      reset_journal srv;
       Ok n
     | Error _ as e -> e
 
-(* A successful snapshot subsumes the journal: reset it so recovery
-   never replays records the snapshot already holds (replaying them
-   would be idempotent, just wasted boot time). *)
 let save_snapshot_logged srv ~why =
   match save_snapshot srv with
   | Ok 0 when not (snapshot_writable srv.cfg) -> ()
   | Ok n ->
-    reset_journal srv;
     srv.cfg.log
       (Printf.sprintf "fq serve: snapshot written (%d entries, %s) to %s" n why
          (Option.get srv.cfg.snapshot))
   | Error e -> srv.cfg.log (Printf.sprintf "fq serve: snapshot failed: %s" e)
 
+(* only requested when the snapshot is writable (see journal_record) *)
 let compact srv =
   match save_snapshot srv with
-  | Ok _ when snapshot_writable srv.cfg ->
-    reset_journal srv;
-    reg_count srv.reg "serve.compactions"
-  | Ok _ -> ()
+  | Ok _ -> reg_count srv.reg "serve.compactions"
   | Error e ->
     reg_count srv.reg "serve.journal_errors";
     srv.cfg.log (Printf.sprintf "fq serve: compaction failed: %s" e)
@@ -1304,9 +1303,7 @@ let conn_loop srv conn =
         | Ok (Protocol.Snapshot { id }) -> (
           reg_count srv.reg "serve.requests";
           match save_snapshot srv with
-          | Ok n ->
-            if snapshot_writable srv.cfg then reset_journal srv;
-            send srv conn (Protocol.ok_response ~id [ ("entries", Json.Int n) ])
+          | Ok n -> send srv conn (Protocol.ok_response ~id [ ("entries", Json.Int n) ])
           | Error e -> send srv conn (Protocol.malformed_response ~id e))
         | Ok (Protocol.Reload { id; path }) -> (
           reg_count srv.reg "serve.requests";
@@ -1388,45 +1385,44 @@ let run_bound cfg =
    with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set srv.term true))
    with Invalid_argument _ -> ());
+  (* Boot replays the snapshot, then the journal, through the one
+     segment loader, so journal records (which postdate the snapshot) win
+     the MRU refresh.  Only the journal is truncated in place, so appends
+     resume after its last complete record; the snapshot may be shared
+     read-only with other workers.  Then the journal is opened for
+     appending and the decide cache starts feeding it. *)
   let snapshot_boot =
     match cfg.snapshot with
-    | Some path when Sys.file_exists path -> (
-      match Decide_cache.load srv.cache path with
-      | Ok n -> Ok (Some n)
-      | Error e -> Error e)
+    | Some path when Sys.file_exists path ->
+      Result.map Option.some (Decide_cache.load ~truncate:false srv.cache path)
     | _ -> Ok None
   in
   Result.bind snapshot_boot @@ fun loaded ->
-  (* Journal recovery runs after the snapshot load so recovered records
-     (which postdate the snapshot) win the MRU refresh; then the journal
-     is opened for appending and the decide cache starts feeding it. *)
   let journal_boot =
     match journal_path cfg with
     | None -> Ok None
     | Some jpath ->
-      let unparsable = ref 0 in
-      let replay payload =
-        match Decide_cache.entry_of_line payload with
-        | Ok (key, value) -> Decide_cache.restore srv.cache key value
-        | Error _ -> incr unparsable
-      in
-      Result.bind (Journal.recover jpath ~f:replay) @@ fun r ->
-      Result.map (fun j -> Some (j, r, !unparsable)) (Journal.open_append jpath)
+      Result.bind (Decide_cache.load srv.cache jpath) @@ fun r ->
+      Result.map (fun j -> Some (j, r)) (Journal.open_append jpath)
   in
   Result.bind journal_boot @@ fun jopened ->
   Result.bind (bind_socket cfg.addr) @@ fun listen_fd ->
   (match loaded with
-  | Some n -> cfg.log (Printf.sprintf "fq serve: warm start, %d cached verdicts loaded" n)
+  | Some { Journal.applied; skipped; truncated_bytes } ->
+    cfg.log
+      (Printf.sprintf
+         "fq serve: warm start, %d cached verdicts loaded (%d skipped, %d torn bytes)" applied
+         skipped truncated_bytes)
   | None -> ());
   (match jopened with
-  | Some (j, { Journal.applied; skipped; truncated_bytes }, unparsable) ->
+  | Some (j, { Journal.applied; skipped; truncated_bytes }) ->
     srv.journal <- Some j;
     Decide_cache.set_on_insert srv.cache (Some (fun key value -> journal_record srv key value));
-    if applied + skipped + truncated_bytes + unparsable > 0 then
+    if applied + skipped + truncated_bytes > 0 then
       cfg.log
         (Printf.sprintf
            "fq serve: journal recovered %d records (%d skipped, %d torn bytes) from %s"
-           applied (skipped + unparsable) truncated_bytes (Journal.path j))
+           applied skipped truncated_bytes (Journal.path j))
   | None -> ());
   cfg.log
     (Format.asprintf "fq serve: listening on %a (%d workers, %d in-flight cap)" pp_addr

@@ -17,7 +17,7 @@ module Decide_cache = Fq_domain.Decide_cache
 module Protocol = Fq_server.Protocol
 module Server = Fq_server.Server
 module Client = Fq_server.Client
-module Journal = Fq_server.Journal
+module Journal = Fq_core.Journal
 module Fault = Fq_core.Fault
 
 let contains hay needle =
@@ -213,8 +213,8 @@ let prop_snapshot_agrees =
       | Error e -> QCheck.Test.fail_reportf "save: %s" e);
       let warm = Decide_cache.create () in
       (match Decide_cache.load warm snapshot_path with
-      | Ok n when n >= 1 -> ()
-      | Ok n -> QCheck.Test.fail_reportf "snapshot read %d entries" n
+      | Ok r when r.Journal.applied >= 1 -> ()
+      | Ok r -> QCheck.Test.fail_reportf "snapshot read %d entries" r.Journal.applied
       | Error e -> QCheck.Test.fail_reportf "load: %s" e);
       let warm_verdict = Decide_cache.decide warm poisoned f in
       if warm_verdict <> cold_verdict then
@@ -388,11 +388,14 @@ let test_journal_fault_containment () =
   Alcotest.(check int) "no torn tail" 0 r.Journal.truncated_bytes;
   Sys.remove p
 
-(* The PR-8 acceptance property: journal the verdicts of a cold cache,
-   mangle the file (truncate at a random byte, or flip a random byte),
-   and recovery must (a) for truncation, recover exactly the longest
-   valid record prefix, and (b) never replay an entry whose verdict
-   disagrees with a cold decide of its key. *)
+(* The recovery acceptance property, over both roles of a segment: save the
+   verdicts of a cold cache as a snapshot and append the same payloads to
+   a journal (the two files must be byte-identical), mangle both the same
+   way (truncate at a random byte, or flip a random byte), and recovery
+   must (a) for truncation, recover exactly the longest valid record
+   prefix, (b) never replay an entry whose verdict disagrees with a cold
+   decide of its key, and (c) through Decide_cache.load, never refuse the
+   snapshot and restore exactly what journal recovery replays. *)
 let prop_journal_recovery =
   QCheck.Test.make ~name:"journal recovery agrees with cold decide" ~count:120
     (QCheck.make
@@ -406,21 +409,18 @@ let prop_journal_recovery =
     (fun (fs, (mode, (a, b))) ->
       let cold = Decide_cache.create () in
       List.iter (fun f -> ignore (Decide_cache.decide cold presburger f)) fs;
-      (* the journal payloads are the cache's own entry renderings *)
-      let snap = Filename.temp_file "fq_jr_snap" ".fq" in
+      let snap = fresh_journal () in
       (match Decide_cache.save cold snap with
       | Ok _ -> ()
       | Error e -> QCheck.Test.fail_reportf "save: %s" e);
-      let lines =
-        match String.split_on_char '\n' (read_file snap) with
-        | _header :: rest -> List.filter (fun l -> l <> "") rest
-        | [] -> []
-      in
-      Sys.remove snap;
+      (* the journal payloads are the cache's own entry renderings *)
+      let _, lines = recover_all snap in
       if lines = [] then QCheck.Test.fail_report "cold cache produced no entries";
       let jpath = fresh_journal () in
       append_all jpath lines;
       let content = read_file jpath in
+      if content <> read_file snap then
+        QCheck.Test.fail_report "the snapshot differs from the journal of its entries";
       let hlen = String.length journal_header in
       let body_len = String.length content - hlen in
       (* end offset of each record: 8 hex CRC + tab + payload + newline *)
@@ -433,24 +433,25 @@ let prop_journal_recovery =
                   (off, off :: acc))
                 (hlen, []) lines))
       in
-      let expected_exact =
+      let mangle, expected_exact =
         match mode with
-        | 0 -> Some lines
+        | 0 -> (ignore, Some lines)
         | 1 ->
           let cut = hlen + (a mod (body_len + 1)) in
-          Unix.truncate jpath cut;
-          Some
-            (List.combine lines bounds
-            |> List.filter (fun (_, e) -> e <= cut)
-            |> List.map fst)
+          ( (fun path -> Unix.truncate path cut),
+            Some
+              (List.combine lines bounds
+              |> List.filter (fun (_, e) -> e <= cut)
+              |> List.map fst) )
         | _ ->
           let pos = hlen + (a mod body_len) in
           let bytes = Bytes.of_string content in
           let old = Char.code (Bytes.get bytes pos) in
           Bytes.set bytes pos (Char.chr (if old = b then (b + 1) land 0xff else b));
-          write_file jpath (Bytes.to_string bytes);
-          None
+          ((fun path -> write_file path (Bytes.to_string bytes)), None)
       in
+      mangle jpath;
+      mangle snap;
       let acc = ref [] in
       let r =
         match Journal.recover jpath ~f:(fun p -> acc := p :: !acc) with
@@ -486,6 +487,25 @@ let prop_journal_recovery =
               QCheck.Test.fail_reportf "entry %S disagrees with cold decide: %s vs %s" p
                 (pp_verdict value) (pp_verdict fresh))
         got;
+      (* the damaged snapshot loads, and restores exactly those records:
+         saving the warm cache back writes them in replay order *)
+      let warm = Decide_cache.create () in
+      let lr =
+        match Decide_cache.load warm snap with
+        | Ok lr -> lr
+        | Error e -> QCheck.Test.fail_reportf "snapshot load refused: %s" e
+      in
+      (match Decide_cache.save warm snap with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "resave: %s" e);
+      let _, restored = recover_all snap in
+      Sys.remove snap;
+      if restored <> got then
+        QCheck.Test.fail_reportf "snapshot load restored %d entries, journal recovery %d"
+          (List.length restored) (List.length got);
+      if lr.Journal.applied <> List.length got || lr.Journal.skipped <> r.Journal.skipped then
+        QCheck.Test.fail_reportf "snapshot load counted %d applied, %d skipped"
+          lr.Journal.applied lr.Journal.skipped;
       true)
 
 (* Chaos containment on the file-I/O sites: under a randomly-armed plan,
@@ -536,6 +556,115 @@ let prop_journal_chaos =
           "recovered %d records, expected exactly the %d acked appends"
           (List.length got) (List.length !expected);
       true)
+
+(* ----------------------- snapshot segments ------------------------- *)
+
+let sentence s =
+  match Fq_logic.Parser.formula s with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "parse %s: %s" s e
+
+(* A snapshot in the retired text format: read once, bad lines skipped
+   and counted, and the next save writes a journal segment. *)
+let test_snapshot_legacy_migration () =
+  let path = Filename.temp_file "fq_legacy_snap" ".fq" in
+  let f = sentence "forall x. exists y. x < y" and g = sentence "forall x. x < x + 1" in
+  (* MRU first: f was used last *)
+  write_file path
+    ("fq-decide-cache 1\n" ^ Decide_cache.entry_to_line f (Ok true) ^ "\n"
+   ^ "not an entry\n" ^ Decide_cache.entry_to_line g (Ok true) ^ "\n");
+  let c = Decide_cache.create () in
+  (match Decide_cache.load c path with
+  | Ok r ->
+    Alcotest.(check int) "good lines loaded" 2 r.Journal.applied;
+    Alcotest.(check int) "bad line skipped" 1 r.Journal.skipped
+  | Error e -> Alcotest.failf "legacy load: %s" e);
+  (match Decide_cache.save c path with
+  | Ok 2 -> ()
+  | Ok n -> Alcotest.failf "resave wrote %d entries" n
+  | Error e -> Alcotest.failf "resave: %s" e);
+  Alcotest.(check string) "rewritten as a segment" journal_header
+    (String.sub (read_file path) 0 (String.length journal_header));
+  let r, payloads = recover_all path in
+  Alcotest.(check int) "nothing skipped after the rewrite" 0 r.Journal.skipped;
+  Alcotest.(check (list string)) "recency order kept, LRU first"
+    [ Decide_cache.entry_to_line g (Ok true); Decide_cache.entry_to_line f (Ok true) ]
+    payloads;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "loaded verdict is warm" true
+        (Decide_cache.decide c poisoned k = Ok true))
+    [ f; g ];
+  Sys.remove path
+
+(* The cacheable filter applies to every segment: a CRC-valid journal
+   record carrying a budget trip is skipped, never restored. *)
+let test_replay_skips_budget_trips () =
+  let p = fresh_journal () in
+  let f = sentence "forall x. exists y. x < y" and g = sentence "forall x. x < x + 1" in
+  append_all p
+    [ Decide_cache.entry_to_line f (Error "budget: fuel exhausted");
+      Decide_cache.entry_to_line g (Ok true) ];
+  let c = Decide_cache.create () in
+  (match Decide_cache.load c p with
+  | Ok r ->
+    Alcotest.(check int) "applied" 1 r.Journal.applied;
+    Alcotest.(check int) "budget trip skipped" 1 r.Journal.skipped
+  | Error e -> Alcotest.failf "load: %s" e);
+  Alcotest.(check int) "one entry" 1 (Decide_cache.stats c).Decide_cache.entries;
+  (match Decide_cache.decide c poisoned f with
+  | Error e when contains e "poisoned" -> ()
+  | _ -> Alcotest.fail "the budget trip was restored");
+  Sys.remove p
+
+let warm_sentences =
+  [ "forall x. exists y. x < y"; "exists x. x + x = 4"; "forall x. x < x + 1" ]
+
+(* A snapshot of the three warm sentences (saved LRU first) whose second
+   record has one payload byte flipped. *)
+let corrupt_snapshot () =
+  let cache = Decide_cache.create () in
+  List.iter
+    (fun s ->
+      if Decide_cache.decide cache presburger (sentence s) <> Ok true then
+        Alcotest.failf "%s: expected true" s)
+    warm_sentences;
+  let path = Filename.temp_file "fq_corrupt_snap" ".fq" in
+  (match Decide_cache.save cache path with
+  | Ok 3 -> ()
+  | Ok n -> Alcotest.failf "saved %d entries" n
+  | Error e -> Alcotest.failf "save: %s" e);
+  let flip i line =
+    if i <> 2 then line
+    else
+      String.mapi
+        (fun j ch -> if j = String.length line - 1 then if ch = 'y' then 'z' else 'y' else ch)
+        line
+  in
+  write_file path
+    (String.concat "\n" (List.mapi flip (String.split_on_char '\n' (read_file path))));
+  path
+
+let corrupt_boot_log = "warm start, 2 cached verdicts loaded (1 skipped, 0 torn bytes)"
+
+(* Every intact verdict answers through a domain whose own decide is
+   poisoned, so it must come from the cache; the flipped one misses. *)
+let check_warm replies =
+  List.iteri
+    (fun i (s, reply) ->
+      match reply with
+      | Protocol.R_outcome { verdict = Outcome.Complete _; _ } when i <> 1 -> ()
+      | Protocol.R_outcome { verdict = Outcome.Complete _; _ } ->
+        Alcotest.failf "%s: the corrupt record was restored" s
+      | _ when i = 1 -> ()
+      | _ -> Alcotest.failf "%s: not warm after a corrupted-snapshot boot" s)
+    (List.combine warm_sentences replies)
+
+let capture_log () =
+  let lines = ref [] and lock = Mutex.create () in
+  ( (fun l -> Mutex.protect lock (fun () -> lines := l :: !lines)),
+    fun needle ->
+      Mutex.protect lock (fun () -> List.exists (fun l -> contains l needle) !lines) )
 
 (* ------------------------ end-to-end daemon ------------------------ *)
 
@@ -851,6 +980,29 @@ let test_serve_watchdog () =
   | Ok _ -> Alcotest.fail "expected a complete answer after the recycle"
   | Error e -> Alcotest.failf "post-recycle eval: %s" e
 
+let test_serve_corrupt_snapshot_boot () =
+  let snap = corrupt_snapshot () in
+  let log, logged = capture_log () in
+  let cfg =
+    { (base_config (fresh_addr ())) with
+      snapshot = Some snap;
+      extra_domains = [ ("poisoned", poisoned) ];
+      log }
+  in
+  with_server cfg (fun c ->
+      (match Client.request c (Protocol.Ping { id = "p" }) with
+      | Ok ("p", Protocol.R_ok _) -> ()
+      | _ -> Alcotest.fail "ping after a corrupted-snapshot boot");
+      check_warm
+        (List.mapi
+           (fun i s ->
+             match Client.request c (eval_req ~domain:"poisoned" (string_of_int i) s) with
+             | Ok (_, reply) -> reply
+             | Error e -> Alcotest.failf "eval %s: %s" s e)
+           warm_sentences));
+  Alcotest.(check bool) "boot log counts the skipped record" true (logged corrupt_boot_log);
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ snap; snap ^ ".journal" ]
+
 (* ------------------- snapshot save fault containment ----------------- *)
 
 let test_snapshot_save_fault_containment () =
@@ -988,6 +1140,30 @@ let test_run_jobs_halfclosed_retry () =
           (r.Client.failovers >= 1);
         Alcotest.(check bool) "stub saw the retry on a fresh connection" true
           (Atomic.get conns >= 2))
+
+(* A peer that accepts and then never answers: with a timeout the client
+   must return a classified error, not let the socket's EAGAIN escape
+   as an exception (the fleet's health probe runs through this path). *)
+let test_client_read_timeout () =
+  let addr = fresh_addr () in
+  let path = match addr with Server.Unix_path p -> p | Server.Tcp _ -> assert false in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      Sys.remove path)
+    (fun () ->
+      match Client.connect ~timeout_ms:200 addr with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok c -> (
+        let r = Client.request c (Protocol.Ping { id = "p" }) in
+        Client.close c;
+        match r with
+        | Error e ->
+          Alcotest.(check bool) "classified as a timeout" true (contains e "timed out")
+        | Ok _ -> Alcotest.fail "a silent peer cannot answer"))
 
 (* ------------------------ SIGTERM drain ordering --------------------- *)
 
@@ -1217,6 +1393,112 @@ let test_fleet_rolling_reload () =
     ws;
   Sys.remove v2
 
+let poisoned_jobs =
+  List.map
+    (fun formula ->
+      { Client.domain = Some "poisoned"; formula; fuel = None; timeout_ms = None;
+        trace = None })
+    warm_sentences
+
+let test_fleet_corrupt_snapshot_boot () =
+  let snap = corrupt_snapshot () in
+  let log, logged = capture_log () in
+  let addr = fresh_addr () in
+  let cfg = fleet_config ~snapshot:snap addr in
+  let cfg =
+    { cfg with
+      Fleet.serve =
+        { cfg.Fleet.serve with Server.extra_domains = [ ("poisoned", poisoned) ]; log } }
+  in
+  with_fleet cfg (fun ctl ->
+      (match ctl (Protocol.Ping { id = "p" }) with
+      | Ok (_, Protocol.R_ok _) -> ()
+      | _ -> Alcotest.fail "fleet ping after a corrupted-snapshot boot");
+      match Client.run_jobs ~addr poisoned_jobs with
+      | Error e -> Alcotest.failf "run_jobs: %s" e
+      | Ok results ->
+        check_warm
+          (Array.to_list (Array.map (fun (r : Client.job_result) -> r.Client.reply) results)));
+  Alcotest.(check bool) "parent boot log counts the skipped record" true
+    (logged corrupt_boot_log);
+  Sys.remove snap
+
+(* Workers never reset their journals (the snapshot is the parent's), so
+   the parent must compact on the records added since its last fold:
+   once per batch of fresh fills, never on an idle probe tick. *)
+let test_fleet_compaction_per_batch () =
+  let snap = Filename.temp_file "fq_fleet_compact" ".fq" in
+  Sys.remove snap;
+  let addr = fresh_addr () in
+  let cfg = fleet_config ~snapshot:snap addr in
+  let cfg =
+    { cfg with Fleet.serve = { cfg.Fleet.serve with Server.journal_compact_every = 4 } }
+  in
+  with_fleet cfg @@ fun ctl ->
+  let compactions () =
+    match ctl (Protocol.Metrics { id = "m" }) with
+    | Ok (_, Protocol.R_ok j) -> (
+      match Option.bind (Json.member "exposition" j) Json.to_str_opt with
+      | Some text -> (
+        match
+          List.find_opt
+            (fun (m, _, _) -> m = "fq_journal_compactions_total")
+            (Fq_core.Aggregate.parse_exposition text)
+        with
+        | Some (_, _, v) -> int_of_float v
+        | None -> Alcotest.fail "no fq_journal_compactions_total sample")
+      | None -> Alcotest.fail "metrics: no exposition")
+    | _ -> Alcotest.fail "fleet metrics"
+  in
+  let batch first =
+    let jobs =
+      List.init 8 (fun i ->
+          { Client.domain = Some "presburger";
+            formula = Printf.sprintf "exists x. x + x = %d" (2 * (first + i));
+            fuel = None; timeout_ms = None; trace = None })
+    in
+    match Client.run_jobs ~addr jobs with
+    | Error e -> Alcotest.failf "run_jobs: %s" e
+    | Ok results -> all_answered results
+  in
+  (* probes run every 200 ms: wait for the batch's compaction, let three
+     more ticks pass, then five idle ticks must compact nothing *)
+  let compacted_once_then_idle before =
+    let deadline = Unix.gettimeofday () +. 5. in
+    while compactions () <= before && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.05
+    done;
+    Unix.sleepf 0.6;
+    let settled = compactions () in
+    Alcotest.(check bool) "the batch compacted" true (settled > before);
+    Unix.sleepf 1.0;
+    Alcotest.(check int) "idle probe ticks do not compact" settled (compactions ());
+    settled
+  in
+  batch 0;
+  let c1 = compacted_once_then_idle 0 in
+  batch 8;
+  ignore (compacted_once_then_idle c1 : int);
+  Sys.remove snap
+
+(* The control loop reads each connection under a 1 s timeout: a peer
+   that connects and stays silent is dropped, and the fleet keeps
+   answering. *)
+let test_fleet_silent_control_peer () =
+  let addr = fresh_addr () in
+  with_fleet (fleet_config addr) @@ fun ctl ->
+  (match ctl (Protocol.Ping { id = "p0" }) with
+  | Ok (_, Protocol.R_ok _) -> ()
+  | _ -> Alcotest.fail "fleet ping");
+  (match Client.connect addr with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok silent ->
+    Unix.sleepf 1.5;
+    Client.close silent);
+  match ctl (Protocol.Ping { id = "p1" }) with
+  | Ok (_, Protocol.R_ok _) -> ()
+  | _ -> Alcotest.fail "the fleet stopped answering after a silent control peer"
+
 (* Fleet chaos properties: ride the QCHECK_SEED matrix — the seed picks
    the victim worker and the fault sites armed in the supervisor. *)
 let prop_fleet_kill9 =
@@ -1254,7 +1536,12 @@ let () =
           Alcotest.test_case "outcome json roundtrip" `Quick test_outcome_roundtrip;
           Alcotest.test_case "request json roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "reply classification" `Quick test_reply_classify ] );
-      ("snapshot", [ qt prop_snapshot_agrees ]);
+      ( "snapshot",
+        [ qt prop_snapshot_agrees;
+          Alcotest.test_case "legacy text snapshot migrates" `Quick
+            test_snapshot_legacy_migration;
+          Alcotest.test_case "replay skips budget trips" `Quick
+            test_replay_skips_budget_trips ] );
       ( "journal",
         [ Alcotest.test_case "crc32 check value" `Quick test_journal_crc;
           Alcotest.test_case "append/recover roundtrip" `Quick test_journal_roundtrip;
@@ -1276,6 +1563,12 @@ let () =
             test_fleet_boot_and_serve;
           Alcotest.test_case "rolling reload serves throughout" `Quick
             test_fleet_rolling_reload;
+          Alcotest.test_case "corrupted snapshot boots warm" `Quick
+            test_fleet_corrupt_snapshot_boot;
+          Alcotest.test_case "compacts once per batch, not per probe" `Quick
+            test_fleet_compaction_per_batch;
+          Alcotest.test_case "a silent control peer is dropped" `Quick
+            test_fleet_silent_control_peer;
           qt prop_fleet_kill9;
           qt prop_fleet_spawn_faults ] );
       ( "daemon",
@@ -1284,6 +1577,8 @@ let () =
             test_serve_trace_roundtrip;
           Alcotest.test_case "admission reject carries resume" `Quick test_serve_reject;
           Alcotest.test_case "snapshot warm start" `Quick test_serve_snapshot_warm;
+          Alcotest.test_case "corrupted snapshot boots warm" `Quick
+            test_serve_corrupt_snapshot_boot;
           Alcotest.test_case "hot reload swaps epochs without drops" `Quick
             test_serve_reload;
           Alcotest.test_case "oversize line answered and drained" `Quick
@@ -1292,6 +1587,8 @@ let () =
             test_snapshot_save_fault_containment;
           Alcotest.test_case "half-closed socket classified transient and retried" `Quick
             test_run_jobs_halfclosed_retry;
+          Alcotest.test_case "a silent peer times out as an error" `Quick
+            test_client_read_timeout;
           Alcotest.test_case "SIGTERM drains the in-flight request" `Quick
             test_sigterm_drain_answers_inflight;
           Alcotest.test_case "watchdog recycles a wedged worker" `Quick
